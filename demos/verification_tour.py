@@ -14,12 +14,14 @@ from qcwaves import (
     boundary_traction_scan,
     decompose,
     decoupling_check,
+    default_step,
     dirac_flux,
     fundamental_displacement,
     pde_residual,
     reciprocity_check,
     wave_parameters,
 )
+from qcwaves import verify
 
 
 def main():
@@ -34,10 +36,10 @@ def main():
         r = kr / wp.k2
         rep = pde_residual(
             lambda p: fundamental_displacement(m, p, xi, omega)[:, 0],
-            m, omega, (r, 0.0), h=min(lam2, r) / 400.0,
+            m, omega, (r, 0.0), h=default_step(m, omega, r),
         )
         print(f"  k2*r = {kr:4.1f}: relative residual {rep.relative_residual:.2e}"
-              f"  (tolerance 1e-4)")
+              f"  (tolerance {verify.PDE_KERNEL_TOLERANCE:g})")
 
     print("\nDirac normalization (traction flux over shrinking circles):")
     eps = 1e-3 / wp.k2
@@ -45,6 +47,7 @@ def main():
         rep = dirac_flux(m, xi, omega, eps / 2**i, n_nodes=256)
         print(f"  eps*k2 = {rep.radius * wp.k2:8.2e}: deviation from -I2 = "
               f"{rep.deviation:.3e}")
+    print(f"  (tolerance {verify.DIRAC_FLUX_TOLERANCE:g} at the largest radius)")
 
     print("\nreciprocity over 100 random source/receiver pairs:")
     rep = reciprocity_check(m, omega)
@@ -53,11 +56,13 @@ def main():
 
     print("\ntraction-free boundary scans:")
     worst = boundary_traction_scan(m, omega, (0.3 * lam2, -0.8 * lam2))
-    print(f"  Green's function: max normalized boundary traction {worst:.2e}")
+    print(f"  Green's function: max normalized boundary traction {worst:.2e}"
+          f" (tolerance {verify.GREEN_TRACTION_TOLERANCE:g})")
     for mode in ("S1", "S2"):
         wave = IncidentWave(mode=mode, amplitude=1.0, phi=0.6)
         worst = boundary_traction_scan(m, omega, wave)
-        print(f"  free field {mode}: {worst:.2e}")
+        print(f"  free field {mode}: {worst:.2e}"
+              f" (tolerance {verify.FREEFIELD_TRACTION_TOLERANCE:g})")
     wave = IncidentWave(mode="S1", amplitude=1.0, phi=0.6)
     control = boundary_traction_scan(m, omega, wave, include_reflection=False)
     print(f"  negative control (incident alone, no reflection): {control:.2f}")
@@ -69,7 +74,8 @@ def main():
     points = [(0.3 * lam0, -0.2 * lam0), (1.5 * lam0, -lam0), (0.8 * lam0, 0.0)]
     rep = decoupling_check(m0, omega, points, xi=(0.0, -lam0))
     print(f"  max relative error vs closed isotropic forms: "
-          f"{rep.max_relative_error:.2e} over {rep.n_points} points")
+          f"{rep.max_relative_error:.2e} over {rep.n_points} points "
+          f"(tolerance {rep.tolerance:g})")
 
 
 if __name__ == "__main__":

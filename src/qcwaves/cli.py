@@ -25,43 +25,29 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import (
-    EvaluationError,
-    InvalidMaterial,
-    NonPositiveFrequency,
-    ParseError,
-    QcError,
-    ValidationError,
-)
-from .freefield import IncidentWave, fullplane_incident
-from .kernels import fundamental_displacement
-from .material import QcMaterial, decompose, validate, wave_parameters
+from .errors import ParseError, QcError, ValidationError
+from .material import decompose, validate, wave_parameters
 from .scenario import load_material, load_scenario, material_to_dict, run_scenario
-from .verify import (
-    DEFAULT_SEED,
-    boundary_traction_scan,
-    decoupling_check,
-    dirac_flux,
-    pde_residual,
-    reciprocity_check,
-)
+from .verify import DEFAULT_SEED, SUITES
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_EVALUATION = 3
 EXIT_VERIFY_FAILED = 4
 
-SUITES = ("pde-residual", "dirac-flux", "reciprocity", "decoupling", "boundary-scan")
 
-
-def _parse_float_list(text: str, what: str) -> list[float]:
+def _parse_omegas(text: str) -> list[float]:
+    """Parse a comma-separated list of finite angular frequencies > 0."""
     try:
-        values = [float(part) for part in text.split(",") if part.strip()]
+        omegas = [float(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
-        raise ParseError(f"could not parse {what} list {text!r}: {exc}") from exc
-    if not values:
-        raise ParseError(f"empty {what} list")
-    return values
+        raise ParseError(f"could not parse omega list {text!r}: {exc}") from exc
+    if not omegas:
+        raise ParseError("empty omega list")
+    for omega in omegas:
+        if not (0.0 < omega < math.inf):
+            raise ValidationError(f"omega must be finite and > 0; got {omega}")
+    return omegas
 
 
 def cmd_decompose(args) -> int:
@@ -76,7 +62,7 @@ def cmd_decompose(args) -> int:
         note = "  (R3 = 0: angle set by continuity rule)"
     print(f"psi = {d.psi:.12g} rad = {math.degrees(d.psi):.10g} deg{note}")
     if args.omega:
-        omegas = _parse_float_list(args.omega, "omega")
+        omegas = _parse_omegas(args.omega)
         print(f"{'omega [rad/s]':>16} {'k1 [1/m]':>16} {'k2 [1/m]':>16} "
               f"{'c1 [m/s]':>12} {'c2 [m/s]':>12}")
         for omega in omegas:
@@ -97,143 +83,20 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
-def _suite_pde_residual(m: QcMaterial, omega: float, rng) -> dict:
-    d = decompose(m)
-    wp = wave_parameters(d, m.rho, omega)
-    lam = 2.0 * math.pi / wp.k2
-    xi = (0.0, 0.0)
-    worst = 0.0
-    # probe each load column at radii scaled by its dominant mode
-    k_for_col = (wp.k1, wp.k2) if d.psi <= math.pi / 4.0 else (wp.k2, wp.k1)
-    for kr in (0.6, 2.0, 8.0, 18.0):
-        theta = rng.uniform(0.0, 2.0 * math.pi)
-        for col in (0, 1):
-            r = kr / k_for_col[col]
-            at = (r * math.cos(theta), r * math.sin(theta))
-            rep = pde_residual(
-                lambda p, col=col: fundamental_displacement(m, p, xi, omega)[:, col],
-                m, omega, at, h=min(lam, r) / 400.0,
-            )
-            worst = max(worst, rep.relative_residual)
-    passed = worst < 1e-4
-    wave_worst = 0.0
-    for mode in ("S1", "S2"):
-        wave = IncidentWave(mode=mode, amplitude=1.0 + 0.0j, phi=rng.uniform(0.1, 1.4))
-        at = tuple(rng.uniform(-lam, lam, size=2))
-        rep = pde_residual(
-            lambda p: fullplane_incident(m, wave, omega, p).as_array(),
-            m, omega, at, h=lam / 3000.0,  # smooth field: fine stencil
-        )
-        wave_worst = max(wave_worst, rep.relative_residual)
-    passed = passed and wave_worst < 1e-6
-    return {
-        "name": "pde-residual",
-        "status": "pass" if passed else "fail",
-        "max_kernel_residual": worst,
-        "kernel_tolerance": 1e-4,
-        "max_wave_residual": wave_worst,
-        "wave_tolerance": 1e-6,
-    }
-
-
-def _suite_dirac_flux(m: QcMaterial, omega: float, rng) -> dict:
-    d = decompose(m)
-    wp = wave_parameters(d, m.rho, omega)
-    eps = 1e-3 / wp.k2
-    deviations = [dirac_flux(m, (0.0, 0.0), omega, eps / 2**i, n_nodes=256).deviation
-                  for i in range(4)]
-    monotone = all(b < a for a, b in zip(deviations, deviations[1:]))
-    passed = deviations[0] < 1e-3 and monotone
-    return {
-        "name": "dirac-flux",
-        "status": "pass" if passed else "fail",
-        "deviation": deviations[0],
-        "tolerance": 1e-3,
-        "deviations_under_halving": deviations,
-        "monotone": monotone,
-    }
-
-
-def _suite_reciprocity(m: QcMaterial, omega: float, rng, seed: int) -> dict:
-    rep = reciprocity_check(m, omega, sample_count=100, seed=seed)
-    return {
-        "name": "reciprocity",
-        "status": "pass" if rep.passed else "fail",
-        **rep.to_dict(),
-    }
-
-
-def _suite_decoupling(m: QcMaterial, omega: float, rng) -> dict:
-    if m.R3 != 0.0:
-        return {
-            "name": "decoupling",
-            "status": "skipped",
-            "note": f"requires R3 = 0; material has R3 = {m.R3:g}",
-        }
-    d = decompose(m)
-    wp = wave_parameters(d, m.rho, omega)
-    lam = 2.0 * math.pi / wp.k2
-    xi = (0.0, -lam)
-    points = [(rng.uniform(-2 * lam, 2 * lam), rng.uniform(-2 * lam, -0.01 * lam))
-              for _ in range(20)]
-    rep = decoupling_check(m, omega, points, xi=xi)
-    return {
-        "name": "decoupling",
-        "status": "pass" if rep.passed else "fail",
-        **rep.to_dict(),
-    }
-
-
-def _suite_boundary_scan(m: QcMaterial, omega: float, rng) -> dict:
-    d = decompose(m)
-    wp = wave_parameters(d, m.rho, omega)
-    lam = 2.0 * math.pi / wp.k2
-    green_worst = 0.0
-    for _ in range(5):
-        xi = (rng.uniform(-lam, lam), rng.uniform(-2.0 * lam, -0.05 * lam))
-        green_worst = max(green_worst, boundary_traction_scan(m, omega, xi, n_points=50))
-    wave_worst = 0.0
-    for mode in ("S1", "S2"):
-        wave = IncidentWave(mode=mode, amplitude=1.0 + 0.0j, phi=rng.uniform(0.1, 1.4))
-        wave_worst = max(wave_worst, boundary_traction_scan(m, omega, wave, n_points=50))
-    passed = green_worst < 1e-10 and wave_worst < 1e-13
-    return {
-        "name": "boundary-scan",
-        "status": "pass" if passed else "fail",
-        "max_green_traction": green_worst,
-        "green_tolerance": 1e-10,
-        "max_freefield_traction": wave_worst,
-        "freefield_tolerance": 1e-13,
-    }
-
-
 def cmd_verify(args) -> int:
     m = load_material(args.material)
     validate(m)
-    omegas = _parse_float_list(args.omega, "omega")
-    for omega in omegas:
-        if omega <= 0.0:
-            raise ValidationError(f"omega must be > 0; got {omega}")
+    omegas = _parse_omegas(args.omega)
     suite_names = tuple(s.strip() for s in args.suite.split(",") if s.strip())
     for name in suite_names:
         if name not in SUITES:
-            raise ValidationError(f"unknown suite {name!r}; choose from {SUITES}")
+            raise ValidationError(f"unknown suite {name!r}; choose from {tuple(SUITES)}")
     seed = args.seed
     checks = []
     for omega in omegas:
         rng = np.random.default_rng(seed)
         for name in suite_names:
-            if name == "pde-residual":
-                result = _suite_pde_residual(m, omega, rng)
-            elif name == "dirac-flux":
-                result = _suite_dirac_flux(m, omega, rng)
-            elif name == "reciprocity":
-                result = _suite_reciprocity(m, omega, rng, seed)
-            elif name == "decoupling":
-                result = _suite_decoupling(m, omega, rng)
-            else:
-                result = _suite_boundary_scan(m, omega, rng)
-            result["omega"] = omega
+            result = {"name": name, **SUITES[name](m, omega, rng, seed), "omega": omega}
             checks.append(result)
             print(f"[{result['status']:>7}] {name} @ omega={omega:g}")
     all_passed = all(c["status"] != "fail" for c in checks)
@@ -281,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", default="1.0",
                    help="comma-separated angular frequencies (default: 1.0)")
     p.add_argument("--suite", default=",".join(SUITES),
-                   help=f"comma-separated suite names (default: all of {SUITES})")
+                   help=f"comma-separated suite names (default: all of {tuple(SUITES)})")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                    help="random seed recorded in the report")
     p.add_argument("--report", help="write the JSON report to this path")
@@ -294,16 +157,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError,) as exc:
+    except ValidationError as exc:  # parse errors and every invalid input
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (ValidationError, InvalidMaterial, NonPositiveFrequency) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except EvaluationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EVALUATION
-    except QcError as exc:
+    except QcError as exc:  # EvaluationError and every other library error
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EVALUATION
 

@@ -1,7 +1,9 @@
 """Exception types raised across the library.
 
-Everything derives from ``QcError`` so callers can catch the whole family;
-the material subfamily additionally derives from ``InvalidMaterial``.
+Everything derives from ``QcError`` so callers can catch the whole family.
+Invalid input derives from ``ValidationError`` (the CLI exits 2 on it, and 3
+on any other ``QcError``); the material subfamily additionally derives from
+``InvalidMaterial``.
 """
 
 
@@ -9,12 +11,20 @@ class QcError(ValueError):
     """Base class for all qcwaves errors."""
 
 
-class InvalidMaterial(QcError):
+class ValidationError(QcError):
+    """Input violates an invariant: a document, a material, or an argument."""
+
+
+class ParseError(ValidationError):
+    """Scenario or material document could not be parsed."""
+
+
+class InvalidMaterial(ValidationError):
     """Material constants violate the well-posedness conditions."""
 
 
 class NonPositiveModulus(InvalidMaterial):
-    """c44 or K2 is not strictly positive, or R3 is negative."""
+    """c44 or K2 is not finite and positive, or R3 is not finite and >= 0."""
 
 
 class CouplingTooStrong(InvalidMaterial):
@@ -22,35 +32,35 @@ class CouplingTooStrong(InvalidMaterial):
 
 
 class NonPositiveDensity(InvalidMaterial):
-    """Mass density is not strictly positive."""
+    """Mass density is not finite and positive."""
 
 
-class NonPositiveFrequency(QcError):
+class NonPositiveFrequency(ValidationError):
     """Angular frequency must be > 0; the static case is out of scope."""
 
 
+class NonUnitNormal(ValidationError):
+    """Normal vector is not of unit length."""
+
+
+class SourceOnBoundary(ValidationError):
+    """Half-plane source sits exactly on x2 = 0; the image degenerates."""
+
+
+class SourceOutsideHalfPlane(ValidationError):
+    """Half-plane source has x2 > 0."""
+
+
+class PointOutsideHalfPlane(ValidationError):
+    """Evaluation point has x2 > 0 in a half-plane setting."""
+
+
 class DomainError(QcError):
-    """Special-function argument outside the supported domain."""
+    """Special-function argument or wavenumber outside the supported domain."""
 
 
 class SourceCoincidesWithField(QcError):
     """Field point too close to the source; the kernel is singular."""
-
-
-class NonUnitNormal(QcError):
-    """Normal vector is not of unit length."""
-
-
-class SourceOnBoundary(QcError):
-    """Half-plane source sits exactly on x2 = 0; the image degenerates."""
-
-
-class SourceOutsideHalfPlane(QcError):
-    """Half-plane source has x2 > 0."""
-
-
-class PointOutsideHalfPlane(QcError):
-    """Evaluation point has x2 > 0 in a half-plane setting."""
 
 
 class StencilOutOfDomain(QcError):
@@ -59,14 +69,6 @@ class StencilOutOfDomain(QcError):
 
 class RadiusTooLarge(QcError):
     """Contour radius too large for the small-circle flux check."""
-
-
-class ParseError(QcError):
-    """Scenario or material document could not be parsed."""
-
-
-class ValidationError(QcError):
-    """Scenario or material document violates an invariant."""
 
 
 class EvaluationError(QcError):

@@ -33,7 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonUnitNormal, PointOutsideHalfPlane
+# Checks are called through their modules, as in scenario.py.
+from . import halfplane, kernels
+from .errors import DomainError
 from .material import QcMaterial, decompose, wave_parameters
 
 __all__ = [
@@ -70,7 +72,7 @@ class IncidentWave:
             raise ValueError(
                 f"incidence angle must lie strictly inside (0, pi/2); got {self.phi}"
             )
-        if not (abs(self.amplitude) < math.inf):
+        if not cmath.isfinite(self.amplitude):
             raise ValueError(f"amplitude must be finite; got {self.amplitude}")
 
 
@@ -103,24 +105,29 @@ def _wave_setup(m: QcMaterial, wave: IncidentWave, omega: float):
     return k, zeta
 
 
+def _phase(k: float, t: float) -> complex:
+    """exp(i k t); DomainError where k t leaves the float range."""
+    kt = k * t
+    if not (-math.inf < kt < math.inf):
+        raise DomainError(f"plane-wave phase k * t = {kt} is not finite (k = {k:g}, t = {t:g})")
+    return cmath.exp(1j * kt)
+
+
 def fullplane_incident(m: QcMaterial, wave: IncidentWave, omega: float, x) -> FieldValue:
     """Incident plane wave in the full plane at point x."""
     k, zeta = _wave_setup(m, wave, omega)
-    phase = cmath.exp(
-        1j * k * (float(x[0]) * math.cos(wave.phi) + float(x[1]) * math.sin(wave.phi))
-    )
+    phase = _phase(k, float(x[0]) * math.cos(wave.phi) + float(x[1]) * math.sin(wave.phi))
     a = wave.amplitude * phase
     return FieldValue(u3=a * zeta[0], w3=a * zeta[1])
 
 
 def halfplane_freefield(m: QcMaterial, wave: IncidentWave, omega: float, x) -> FieldValue:
     """Incident plus reflected wave in the half-plane x2 <= 0 at point x."""
-    if float(x[1]) > 0.0:
-        raise PointOutsideHalfPlane(f"field point must have x2 <= 0; got x2 = {x[1]}")
+    halfplane.check_field_point(x)
     k, zeta = _wave_setup(m, wave, omega)
     c, s = math.cos(wave.phi), math.sin(wave.phi)
     x1, x2 = float(x[0]), float(x[1])
-    bracket = cmath.exp(1j * k * (x1 * c + x2 * s)) + cmath.exp(1j * k * (x1 * c - x2 * s))
+    bracket = _phase(k, x1 * c + x2 * s) + _phase(k, x1 * c - x2 * s)
     a = wave.amplitude * bracket
     return FieldValue(u3=a * zeta[0], w3=a * zeta[1])
 
@@ -133,14 +140,13 @@ def _displacement_gradient(
     c, s = math.cos(wave.phi), math.sin(wave.phi)
     x1, x2 = float(x[0]), float(x[1])
     if half_plane:
-        if x2 > 0.0:
-            raise PointOutsideHalfPlane(f"field point must have x2 <= 0; got x2 = {x2}")
-        e_inc = cmath.exp(1j * k * (x1 * c + x2 * s))
-        e_ref = cmath.exp(1j * k * (x1 * c - x2 * s))
+        halfplane.check_field_point(x)
+    e_inc = _phase(k, x1 * c + x2 * s)
+    if half_plane:
+        e_ref = _phase(k, x1 * c - x2 * s)
         d1 = 1j * k * c * (e_inc + e_ref)
         d2 = 1j * k * s * (e_inc - e_ref)  # exactly zero on x2 = 0
     else:
-        e_inc = cmath.exp(1j * k * (x1 * c + x2 * s))
         d1 = 1j * k * c * e_inc
         d2 = 1j * k * s * e_inc
     grad_scalar = wave.amplitude * np.array([d1, d2])
@@ -161,8 +167,6 @@ def freefield_traction(
     m: QcMaterial, wave: IncidentWave, omega: float, x, n, half_plane: bool = False
 ) -> np.ndarray:
     """Free-field tractions (t3, G3) on the unit normal n."""
-    n1, n2 = float(n[0]), float(n[1])
-    if abs(math.hypot(n1, n2) - 1.0) > 1e-12:
-        raise NonUnitNormal(f"normal {n} does not have unit length")
+    n1, n2 = kernels.check_normal(n)
     sigma, h = freefield_stress(m, wave, omega, x, half_plane)
     return np.array([sigma[0] * n1 + sigma[1] * n2, h[0] * n1 + h[1] * n2])

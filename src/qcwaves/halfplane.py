@@ -22,7 +22,7 @@ from .errors import PointOutsideHalfPlane, SourceOnBoundary, SourceOutsideHalfPl
 from .kernels import fundamental_displacement, fundamental_traction
 from .material import QcMaterial
 
-__all__ = ["image_point", "green_displacement", "green_traction"]
+__all__ = ["image_point", "check_field_point", "green_displacement", "green_traction"]
 
 
 def image_point(xi) -> tuple[float, float]:
@@ -35,14 +35,15 @@ def image_point(xi) -> tuple[float, float]:
     return (xi1, -xi2)
 
 
-def _check_field_point(x) -> None:
+def check_field_point(x) -> None:
+    """Raise PointOutsideHalfPlane unless x lies in the closed half-plane x2 <= 0."""
     if float(x[1]) > 0.0:
-        raise PointOutsideHalfPlane(f"field point must have x2 <= 0; got x2 = {x[1]}")
+        raise PointOutsideHalfPlane(f"field point ({x[0]}, {x[1]}) must have x2 <= 0")
 
 
 def green_displacement(m: QcMaterial, x, xi, omega: float) -> np.ndarray:
     """Half-plane Green's displacement g* = v*(r) + v*(r~), shape (2, 2)."""
-    _check_field_point(x)
+    check_field_point(x)
     xi_im = image_point(xi)
     return fundamental_displacement(m, x, xi, omega) + fundamental_displacement(
         m, x, xi_im, omega
@@ -55,7 +56,7 @@ def green_traction(m: QcMaterial, x, xi, omega: float, n) -> np.ndarray:
     Sum of the fundamental tractions of the real and image sources; on
     x2 = 0 with n = (0, 1) the two contributions cancel exactly.
     """
-    _check_field_point(x)
+    check_field_point(x)
     xi_im = image_point(xi)
     return fundamental_traction(m, x, xi, omega, n) + fundamental_traction(
         m, x, xi_im, omega, n

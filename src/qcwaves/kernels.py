@@ -39,6 +39,7 @@ from .material import QcMaterial, decompose, wave_parameters
 from .specfun import macdonald_k0_neg_i, macdonald_k1_neg_i
 
 __all__ = [
+    "check_normal",
     "fundamental_displacement",
     "fundamental_gradient",
     "fundamental_stress",
@@ -64,7 +65,8 @@ def _check_r(r: float, x) -> None:
         )
 
 
-def _check_normal(n) -> tuple[float, float]:
+def check_normal(n) -> tuple[float, float]:
+    """Return n as (n1, n2); raise NonUnitNormal unless |n| = 1 to 1e-12."""
     n1, n2 = float(n[0]), float(n[1])
     if abs(math.hypot(n1, n2) - 1.0) > 1e-12:
         raise NonUnitNormal(f"normal {n} does not have unit length")
@@ -125,7 +127,7 @@ def fundamental_traction(m: QcMaterial, x, xi, omega: float, n) -> np.ndarray:
     Row 0 holds the phonon tractions t_3i = sigma_3ij n_j, row 1 the phason
     tractions G_3i = H_3ij n_j; columns index the load component i.
     """
-    n1, n2 = _check_normal(n)
+    n1, n2 = check_normal(n)
     sigma, h = fundamental_stress(m, x, xi, omega)
     t = np.empty((2, 2), dtype=complex)
     t[0] = sigma[:, 0] * n1 + sigma[:, 1] * n2

@@ -22,6 +22,8 @@ import numpy as np
 
 from .errors import (
     CouplingTooStrong,
+    DomainError,
+    InvalidMaterial,
     NonPositiveDensity,
     NonPositiveFrequency,
     NonPositiveModulus,
@@ -107,20 +109,22 @@ class WaveParameters:
 def validate(m: QcMaterial) -> None:
     """Check the well-posedness conditions; raise a specific error if violated.
 
-    Requires c44 > 0, K2 > 0, R3 >= 0, rho > 0 and c44*K2 - R3^2 > 0.
-    Accepts arbitrary numeric input (NaN fails the positivity checks).
+    Requires finite c44 > 0, K2 > 0, R3 >= 0, rho > 0 and c44*K2 - R3^2 > 0.
+    Accepts arbitrary numeric input (NaN and +-inf fail the range checks).
     """
-    if not (m.c44 > 0.0) or not (m.K2 > 0.0) or not (m.R3 >= 0.0):
+    if not (0.0 < m.c44 < math.inf and 0.0 < m.K2 < math.inf and 0.0 <= m.R3 < math.inf):
         raise NonPositiveModulus(
-            f"need c44 > 0, K2 > 0, R3 >= 0; got c44={m.c44}, K2={m.K2}, R3={m.R3}"
+            f"need finite c44 > 0, K2 > 0, R3 >= 0; got c44={m.c44}, K2={m.K2}, R3={m.R3}"
         )
-    if not (m.rho > 0.0):
-        raise NonPositiveDensity(f"need rho > 0; got rho={m.rho}")
+    if not (0.0 < m.rho < math.inf):
+        raise NonPositiveDensity(f"need finite rho > 0; got rho={m.rho}")
     det = m.c44 * m.K2 - m.R3 * m.R3
     if not (det > 0.0):
         raise CouplingTooStrong(
             f"need c44*K2 - R3^2 > 0; got {det} (coupling too strong)"
         )
+    if det == math.inf:
+        raise InvalidMaterial(f"c44*K2 - R3^2 overflows; got c44={m.c44}, K2={m.K2}")
 
 
 def decompose(m: QcMaterial) -> SpectralDecomposition:
@@ -138,7 +142,7 @@ def decompose(m: QcMaterial) -> SpectralDecomposition:
     det = m.c44 * m.K2 - m.R3 * m.R3
     # sum-of-squares form of the discriminant: no cancellation
     disc = math.hypot(m.c44 - m.K2, 2.0 * m.R3)
-    a1 = 0.5 * (trace + disc)
+    a1 = 0.5 * trace + 0.5 * disc  # = 0.5 * (trace + disc), which can overflow
     a2 = det / a1
     if m.R3 == 0.0:
         psi = 0.0 if m.c44 >= m.K2 else 0.5 * math.pi
@@ -165,6 +169,8 @@ def wave_parameters(d: SpectralDecomposition, rho: float, omega: float) -> WaveP
         raise NonPositiveDensity(f"need rho > 0; got {rho}")
     k1 = omega * math.sqrt(rho / d.a1)
     k2 = omega * math.sqrt(rho / d.a2)
+    if not (0.0 < k1 and k2 < math.inf):  # k1 <= k2
+        raise DomainError(f"wavenumbers k1 = {k1:g}, k2 = {k2:g} leave the float range")
     c1 = math.sqrt(d.a1 / rho)
     c2 = math.sqrt(d.a2 / rho)
     return WaveParameters(omega=omega, k1=k1, k2=k2, c1=c1, c2=c2)

@@ -37,10 +37,13 @@ deterministic, so identical scenarios produce byte-identical CSV files.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
-from . import __version__
+# Invariant checks are called through their modules: a tracer patching the
+# names bound here (benchmarks/tracing.py) then counts evaluation calls only.
+from . import __version__, halfplane, kernels
 from .errors import EvaluationError, ParseError, QcError, ValidationError
 from .freefield import (
     IncidentWave,
@@ -97,9 +100,16 @@ def _require(doc: dict, key: str, where: str):
 
 
 def _number(value, key: str, where: str) -> float:
+    """The one check of every number in a document: a finite int or float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{where}: key {key!r} must be a number; got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ParseError(f"{where}: key {key!r} must be finite; got {value!r}")
+    return number
 
 
 def _check_schema_version(doc: dict, where: str) -> None:
@@ -199,7 +209,10 @@ def parse_scenario(doc: dict, where: str = "scenario") -> Scenario:
             raise ParseError(f"{where}: key 'points' must be a non-empty list of pairs")
         points = tuple(_parse_point(p, "points", where) for p in pdoc)
 
-    outputs = tuple(doc.get("outputs", ["displacement"]))
+    outputs = doc.get("outputs", ["displacement"])
+    if not isinstance(outputs, list) or not all(isinstance(out, str) for out in outputs):
+        raise ParseError(f"{where}: key 'outputs' must be a list of strings; got {outputs!r}")
+    outputs = tuple(outputs)
     for out in outputs:
         if out not in ("displacement", "traction"):
             raise ParseError(f"{where}: unknown output {out!r}")
@@ -261,11 +274,11 @@ def scenario_points(s: Scenario) -> list[tuple[float, float]]:
 
 
 def validate_scenario(s: Scenario, m: QcMaterial) -> None:
-    """Check every scenario invariant before any kernel evaluation."""
-    try:
-        validate(m)
-    except QcError as exc:
-        raise ValidationError(f"material: {exc}") from exc
+    """Check every scenario invariant before any kernel evaluation; raise ValidationError.
+
+    The material, normal, source and half-plane checks are the library's own.
+    """
+    validate(m)
     if not (s.omega > 0.0):
         raise ValidationError(f"omega must be > 0; got {s.omega}")
     if s.grid is not None:
@@ -274,17 +287,17 @@ def validate_scenario(s: Scenario, m: QcMaterial) -> None:
                 raise ValidationError(f"grid {axis} count must be >= 1; got {count}")
     if "traction" in s.outputs and s.normal is None:
         raise ValidationError("traction output requested but no normal given")
+    if s.normal is not None:
+        kernels.check_normal(s.normal)
     if s.kind == "green-half":
-        if s.source[1] >= 0.0:
-            raise ValidationError(
-                f"green-half source must have xi2 < 0; got xi2 = {s.source[1]}"
-            )
-    if s.kind in HALF_PLANE_KINDS:
-        for p in scenario_points(s):
-            if p[1] > 0.0:
-                raise ValidationError(
-                    f"half-plane scenario contains point {list(p)} with x2 > 0"
-                )
+        halfplane.image_point(s.source)
+    field = "points" if s.grid is None else "grid"
+    half_plane = s.kind in HALF_PLANE_KINDS
+    for p in scenario_points(s):
+        if not (math.isfinite(p[0]) and math.isfinite(p[1])):
+            raise ValidationError(f"{field}: point {list(p)} is not finite")
+        if half_plane:
+            halfplane.check_field_point(p)
 
 
 def csv_header(s: Scenario) -> list[str]:
@@ -339,9 +352,12 @@ def sample_rows(s: Scenario, m: QcMaterial) -> list[list[float]]:
     make_row = _point_source_row if s.kind in POINT_SOURCE_KINDS else _freefield_row
     for p in scenario_points(s):
         try:
-            rows.append(make_row(s, m, p))
+            row = make_row(s, m, p)
         except QcError as exc:
             raise EvaluationError(f"evaluation failed at point {list(p)}: {exc}") from exc
+        if not all(map(math.isfinite, row)):
+            raise EvaluationError(f"evaluation at point {list(p)} gave a non-finite value")
+        rows.append(row)
     return rows
 
 

@@ -31,14 +31,16 @@ The Macdonald values use the connection formulas
 i.e. K_nu(-ix) = (pi/2) i^(nu+1) H_nu^(1)(x); the order-one constant is
 pinned against an independent ascending-series oracle in the test suite.
 
-Arguments must be x >= 0 for J and x > 0 for Y, H and K; anything else
-raises :class:`~qcwaves.errors.DomainError` rather than silently continuing
-analytically. All functions are pure and thread-safe.
+Arguments must be finite, x >= 0 for J and x >= 2.2e-308 (a normal float)
+for Y, H and K; anything else raises :class:`~qcwaves.errors.DomainError`
+rather than silently continuing analytically. All functions are pure and
+thread-safe.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 from . import _cyltables
 from .errors import DomainError
@@ -58,6 +60,8 @@ EULER_GAMMA = 0.57721566490153286
 
 _XCUT = _cyltables.XCUT
 _SERIES_TOL = 1e-20
+# Smallest argument of Y, H and K: 0.5 * x in their log(x / 2) term stays normal.
+_X_MIN = sys.float_info.min
 
 
 def _clenshaw(coeffs, t: float) -> float:
@@ -112,8 +116,8 @@ def _j1_series(x: float) -> float:
     return 0.5 * x * math.fsum(terms)
 
 
-def _y0_series(x: float) -> float:
-    # Y0 = (2/pi) * ((ln(x/2) + gamma) J0 + sum_{k>=1} (-1)^(k+1) H_k z^k / (k!)^2)
+def _y0_series(x: float, j0: float) -> float:
+    # Y0 = (2/pi) * ((ln(x/2) + gamma) j0 + sum_{k>=1} (-1)^(k+1) H_k z^k / (k!)^2)
     z = 0.25 * x * x
     term = 1.0
     h = 0.0
@@ -128,11 +132,11 @@ def _y0_series(x: float) -> float:
         if abs(t) < _SERIES_TOL:
             break
     s = math.fsum(terms)
-    return (2.0 / math.pi) * ((math.log(0.5 * x) + EULER_GAMMA) * _j0_series(x) + s)
+    return (2.0 / math.pi) * ((math.log(0.5 * x) + EULER_GAMMA) * j0 + s)
 
 
-def _y1_series(x: float) -> float:
-    # Y1 = (2/pi) * ((ln(x/2) + gamma) J1 - 1/x
+def _y1_series(x: float, j1: float) -> float:
+    # Y1 = (2/pi) * ((ln(x/2) + gamma) j1 - 1/x
     #               - (x/4) sum_{k>=0} (-1)^k (H_k + H_{k+1}) z^k / (k! (k+1)!))
     z = 0.25 * x * x
     term = 1.0
@@ -151,14 +155,14 @@ def _y1_series(x: float) -> float:
             break
     s = math.fsum(terms)
     return (2.0 / math.pi) * (
-        (math.log(0.5 * x) + EULER_GAMMA) * _j1_series(x) - 1.0 / x - 0.25 * x * s
+        (math.log(0.5 * x) + EULER_GAMMA) * j1 - 1.0 / x - 0.25 * x * s
     )
 
 
 def bessel_j0(x: float) -> float:
     """Bessel function of the first kind, order zero, x >= 0."""
-    if not (x >= 0.0):
-        raise DomainError(f"bessel_j0 requires x >= 0; got {x}")
+    if not (0.0 <= x < math.inf):
+        raise DomainError(f"bessel_j0 requires finite x >= 0; got {x}")
     if x <= _XCUT:
         return _j0_series(x)
     return _jy_large(0, x)[0]
@@ -166,8 +170,8 @@ def bessel_j0(x: float) -> float:
 
 def bessel_j1(x: float) -> float:
     """Bessel function of the first kind, order one, x >= 0."""
-    if not (x >= 0.0):
-        raise DomainError(f"bessel_j1 requires x >= 0; got {x}")
+    if not (0.0 <= x < math.inf):
+        raise DomainError(f"bessel_j1 requires finite x >= 0; got {x}")
     if x <= _XCUT:
         return _j1_series(x)
     return _jy_large(1, x)[0]
@@ -175,38 +179,40 @@ def bessel_j1(x: float) -> float:
 
 def bessel_y0(x: float) -> float:
     """Bessel function of the second kind, order zero, x > 0."""
-    if not (x > 0.0):
-        raise DomainError(f"bessel_y0 requires x > 0; got {x}")
+    if not (_X_MIN <= x < math.inf):
+        raise DomainError(f"bessel_y0 requires finite x >= {_X_MIN}; got {x}")
     if x <= _XCUT:
-        return _y0_series(x)
+        return _y0_series(x, _j0_series(x))
     return _jy_large(0, x)[1]
 
 
 def bessel_y1(x: float) -> float:
     """Bessel function of the second kind, order one, x > 0."""
-    if not (x > 0.0):
-        raise DomainError(f"bessel_y1 requires x > 0; got {x}")
+    if not (_X_MIN <= x < math.inf):
+        raise DomainError(f"bessel_y1 requires finite x >= {_X_MIN}; got {x}")
     if x <= _XCUT:
-        return _y1_series(x)
+        return _y1_series(x, _j1_series(x))
     return _jy_large(1, x)[1]
 
 
 def hankel1_0(x: float) -> complex:
     """Hankel function of the first kind H0^(1)(x) = J0(x) + i Y0(x), x > 0."""
-    if not (x > 0.0):
-        raise DomainError(f"hankel1_0 requires x > 0; got {x}")
+    if not (_X_MIN <= x < math.inf):
+        raise DomainError(f"hankel1_0 requires finite x >= {_X_MIN}; got {x}")
     if x <= _XCUT:
-        return complex(_j0_series(x), _y0_series(x))
+        j = _j0_series(x)
+        return complex(j, _y0_series(x, j))
     j, y = _jy_large(0, x)
     return complex(j, y)
 
 
 def hankel1_1(x: float) -> complex:
     """Hankel function of the first kind H1^(1)(x) = J1(x) + i Y1(x), x > 0."""
-    if not (x > 0.0):
-        raise DomainError(f"hankel1_1 requires x > 0; got {x}")
+    if not (_X_MIN <= x < math.inf):
+        raise DomainError(f"hankel1_1 requires finite x >= {_X_MIN}; got {x}")
     if x <= _XCUT:
-        return complex(_j1_series(x), _y1_series(x))
+        j = _j1_series(x)
+        return complex(j, _y1_series(x, j))
     j, y = _jy_large(1, x)
     return complex(j, y)
 

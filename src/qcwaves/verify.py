@@ -10,18 +10,23 @@ All checks are deterministic: random sampling uses an explicit seed
 (DEFAULT_SEED unless overridden) that is recorded in the returned report,
 and aggregation is order-independent (max reductions), so reports are
 reproducible bit for bit.
+
+``SUITES`` maps each ``qcwaves verify`` suite name to a runner
+``(m, omega, rng, seed) -> dict`` that samples its layout from ``rng`` and
+reports a ``status`` ("pass", "fail", "skipped"), the measured values and
+their tolerances.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import RadiusTooLarge, StencilOutOfDomain
-from .freefield import IncidentWave, freefield_traction
+from .freefield import IncidentWave, freefield_traction, fullplane_incident
 from .halfplane import green_displacement, green_traction, image_point
 from .kernels import fundamental_displacement, fundamental_traction, separation
 from .material import QcMaterial, decompose, validate, wave_parameters
@@ -29,6 +34,12 @@ from .specfun import macdonald_k0_neg_i
 
 __all__ = [
     "DEFAULT_SEED",
+    "SUITES",
+    "PDE_KERNEL_TOLERANCE",
+    "PDE_WAVE_TOLERANCE",
+    "DIRAC_FLUX_TOLERANCE",
+    "GREEN_TRACTION_TOLERANCE",
+    "FREEFIELD_TRACTION_TOLERANCE",
     "ResidualReport",
     "FluxReport",
     "ReciprocityReport",
@@ -48,6 +59,13 @@ DEFAULT_SEED = 20240517
 # at k*r = 0.5, where the log-singular kernel has the largest fourth
 # derivatives relative to rho*omega^2*v.
 STEP_DIVISOR = 400.0
+
+# Pass thresholds of the suites, each reported next to the value it bounds.
+PDE_KERNEL_TOLERANCE = 1e-4  # O(h^2) stencil truncation at the default step
+PDE_WAVE_TOLERANCE = 1e-6  # smooth plane waves on a 1/3000-wavelength stencil
+DIRAC_FLUX_TOLERANCE = 1e-3  # omitted inertia term at eps * k2 = 1e-3
+GREEN_TRACTION_TOLERANCE = 1e-10  # image cancellation relative to one source
+FREEFIELD_TRACTION_TOLERANCE = 1e-13  # exactly zero up to round-off
 
 
 @dataclass(frozen=True)
@@ -103,13 +121,7 @@ class ReciprocityReport:
     tolerance: float
 
     def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "max_deviation": self.max_deviation,
-            "sample_count": self.sample_count,
-            "seed": self.seed,
-            "tolerance": self.tolerance,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -120,12 +132,12 @@ class DecouplingReport:
     tolerance: float
 
     def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "max_relative_error": self.max_relative_error,
-            "n_points": self.n_points,
-            "tolerance": self.tolerance,
-        }
+        return asdict(self)
+
+
+def _slow_wavelength(m: QcMaterial, omega: float) -> float:
+    """Wavelength 2 pi / k2 of the slow S2 mode, the shortest in the material."""
+    return 2.0 * math.pi / wave_parameters(decompose(m), m.rho, omega).k2
 
 
 def default_step(m: QcMaterial, omega: float, r: Optional[float] = None) -> float:
@@ -135,9 +147,7 @@ def default_step(m: QcMaterial, omega: float, r: Optional[float] = None) -> floa
     pass r (distance to the nearest singular point) to shrink the stencil
     near a source.
     """
-    d = decompose(m)
-    wp = wave_parameters(d, m.rho, omega)
-    lam = 2.0 * math.pi / wp.k2
+    lam = _slow_wavelength(m, omega)
     if r is not None:
         lam = min(lam, r)
     return lam / STEP_DIVISOR
@@ -195,9 +205,7 @@ def dirac_flux(
     Gauss-Legendre-in-r x trapezoid-in-theta quadrature and reported
     separately (flux + area_term is then the full divergence-theorem budget).
     """
-    validate(m)
-    d = decompose(m)
-    wp = wave_parameters(d, m.rho, omega)
+    wp = wave_parameters(decompose(m), m.rho, omega)
     if not (eps > 0.0) or eps * wp.k2 >= 0.1:
         raise RadiusTooLarge(
             f"need 0 < eps * k2 < 0.1; got eps*k2 = {eps * wp.k2:g}"
@@ -239,10 +247,7 @@ def reciprocity_check(
     tolerance: float = 1e-12,
 ) -> ReciprocityReport:
     """Check v*_12 = v*_21 and v*(x, xi) = v*(xi, x) over random point pairs."""
-    validate(m)
-    d = decompose(m)
-    wp = wave_parameters(d, m.rho, omega)
-    lam = 2.0 * math.pi / wp.k2
+    lam = _slow_wavelength(m, omega)
     rng = np.random.default_rng(seed)
     worst = 0.0
     drawn = 0
@@ -347,10 +352,7 @@ def boundary_traction_scan(
     ``include_reflection=False`` scans the unreflected incident wave instead
     (negative control: the result is then O(1)).
     """
-    validate(m)
-    d = decompose(m)
-    wp = wave_parameters(d, m.rho, omega)
-    lam = 2.0 * math.pi / wp.k2
+    lam = _slow_wavelength(m, omega)
     normal = (0.0, 1.0)
     worst = 0.0
     if isinstance(source_or_wave, IncidentWave):
@@ -371,3 +373,104 @@ def boundary_traction_scan(
         scale = float(np.max(np.abs(ref)))
         worst = max(worst, float(np.max(np.abs(t))) / scale)
     return float(worst)
+
+
+def _random_wave(mode: str, rng) -> IncidentWave:
+    return IncidentWave(mode=mode, amplitude=1.0 + 0.0j, phi=rng.uniform(0.1, 1.4))
+
+
+def _pde_residual_suite(m: QcMaterial, omega: float, rng, seed: int) -> dict:
+    d = decompose(m)
+    wp = wave_parameters(d, m.rho, omega)
+    xi = (0.0, 0.0)
+    worst = 0.0
+    # probe each load column at radii scaled by its dominant mode
+    k_for_col = (wp.k1, wp.k2) if d.psi <= math.pi / 4.0 else (wp.k2, wp.k1)
+    for kr in (0.6, 2.0, 8.0, 18.0):
+        theta = rng.uniform(0.0, 2.0 * math.pi)
+        for col in (0, 1):
+            r = kr / k_for_col[col]
+            at = (r * math.cos(theta), r * math.sin(theta))
+            rep = pde_residual(
+                lambda p, col=col: fundamental_displacement(m, p, xi, omega)[:, col],
+                m, omega, at, h=default_step(m, omega, r),
+            )
+            worst = max(worst, rep.relative_residual)
+    lam = _slow_wavelength(m, omega)
+    wave_worst = 0.0
+    for mode in ("S1", "S2"):
+        wave = _random_wave(mode, rng)
+        at = tuple(rng.uniform(-lam, lam, size=2))
+        rep = pde_residual(
+            lambda p: fullplane_incident(m, wave, omega, p).as_array(),
+            m, omega, at, h=lam / 3000.0,  # smooth field: fine stencil
+        )
+        wave_worst = max(wave_worst, rep.relative_residual)
+    passed = worst < PDE_KERNEL_TOLERANCE and wave_worst < PDE_WAVE_TOLERANCE
+    return {
+        "status": "pass" if passed else "fail",
+        "max_kernel_residual": worst,
+        "kernel_tolerance": PDE_KERNEL_TOLERANCE,
+        "max_wave_residual": wave_worst,
+        "wave_tolerance": PDE_WAVE_TOLERANCE,
+    }
+
+
+def _dirac_flux_suite(m: QcMaterial, omega: float, rng, seed: int) -> dict:
+    eps = 1e-3 / wave_parameters(decompose(m), m.rho, omega).k2
+    deviations = [dirac_flux(m, (0.0, 0.0), omega, eps / 2**i, n_nodes=256).deviation
+                  for i in range(4)]
+    monotone = all(b < a for a, b in zip(deviations, deviations[1:]))
+    return {
+        "status": "pass" if deviations[0] < DIRAC_FLUX_TOLERANCE and monotone else "fail",
+        "deviation": deviations[0],
+        "tolerance": DIRAC_FLUX_TOLERANCE,
+        "deviations_under_halving": deviations,
+        "monotone": monotone,
+    }
+
+
+def _reciprocity_suite(m: QcMaterial, omega: float, rng, seed: int) -> dict:
+    rep = reciprocity_check(m, omega, sample_count=100, seed=seed)
+    return {"status": "pass" if rep.passed else "fail", **rep.to_dict()}
+
+
+def _decoupling_suite(m: QcMaterial, omega: float, rng, seed: int) -> dict:
+    if m.R3 != 0.0:
+        return {"status": "skipped", "note": f"requires R3 = 0; material has R3 = {m.R3:g}"}
+    lam = _slow_wavelength(m, omega)
+    points = [(rng.uniform(-2 * lam, 2 * lam), rng.uniform(-2 * lam, -0.01 * lam))
+              for _ in range(20)]
+    rep = decoupling_check(m, omega, points, xi=(0.0, -lam))
+    return {"status": "pass" if rep.passed else "fail", **rep.to_dict()}
+
+
+def _boundary_scan_suite(m: QcMaterial, omega: float, rng, seed: int) -> dict:
+    lam = _slow_wavelength(m, omega)
+    green_worst = 0.0
+    for _ in range(5):
+        xi = (rng.uniform(-lam, lam), rng.uniform(-2.0 * lam, -0.05 * lam))
+        green_worst = max(green_worst, boundary_traction_scan(m, omega, xi, n_points=50))
+    wave_worst = 0.0
+    for mode in ("S1", "S2"):
+        wave = _random_wave(mode, rng)
+        wave_worst = max(wave_worst, boundary_traction_scan(m, omega, wave, n_points=50))
+    passed = green_worst < GREEN_TRACTION_TOLERANCE and wave_worst < FREEFIELD_TRACTION_TOLERANCE
+    return {
+        "status": "pass" if passed else "fail",
+        "max_green_traction": green_worst,
+        "green_tolerance": GREEN_TRACTION_TOLERANCE,
+        "max_freefield_traction": wave_worst,
+        "freefield_tolerance": FREEFIELD_TRACTION_TOLERANCE,
+    }
+
+
+# The suites ``qcwaves verify`` runs, in their default order. (The annotation
+# is not evaluated, so importing this module does not import numpy.random.)
+SUITES: dict[str, Callable[[QcMaterial, float, np.random.Generator, int], dict]] = {
+    "pde-residual": _pde_residual_suite,
+    "dirac-flux": _dirac_flux_suite,
+    "reciprocity": _reciprocity_suite,
+    "decoupling": _decoupling_suite,
+    "boundary-scan": _boundary_scan_suite,
+}

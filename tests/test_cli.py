@@ -6,6 +6,7 @@ import math
 import pytest
 
 import qcwaves.cli as cli
+import qcwaves.verify as verify
 from qcwaves import (
     QcMaterial,
     fundamental_displacement,
@@ -232,7 +233,7 @@ class TestVerify:
         def failing(m, omega, rng, seed):
             return {"name": "reciprocity", "status": "fail"}
 
-        monkeypatch.setattr(cli, "_suite_reciprocity", failing)
+        monkeypatch.setitem(verify.SUITES, "reciprocity", failing)
         code = cli.main(["verify", "--material", material_file,
                          "--suite", "reciprocity"])
         assert code == 4
@@ -293,3 +294,85 @@ def test_material_file_errors(tmp_path):
     path.write_text(json.dumps({"schema_version": 1}))
     with pytest.raises(Exception):
         load_material(str(path))
+
+
+def freefield_scenario():
+    return {
+        "schema_version": 1,
+        "kind": "freefield-half",
+        "omega": 2.0,
+        "wave": {"mode": "S1", "amplitude": [1.0, 0.0], "phi": 0.6},
+        "points": [[0.5, -1.0], [1.0, 0.0]],
+        "outputs": ["displacement", "traction"],
+        "normal": [0.0, 1.0],
+    }
+
+
+def _edit(doc, **changes):
+    """doc with the given keys replaced; a None value removes the key."""
+    return {k: v for k, v in {**doc, **changes}.items() if v is not None}
+
+
+# (case, scenario document, field the error message must name)
+INVALID_SCENARIOS = [
+    ("omega-1e400", _edit(fundamental_scenario(3, 3), omega="1e400"), "omega"),
+    ("nan-point", _edit(fundamental_scenario(), grid=None, points=[[math.nan, 1.0]]),
+     "points"),
+    ("inf-point", _edit(freefield_scenario(), points=[[0.0, -math.inf]]), "points"),
+    ("nan-source", _edit(fundamental_scenario(3, 3), source=[0.0, math.nan]), "source"),
+    ("overflowing-grid",
+     _edit(freefield_scenario(), kind="freefield-full", points=None,
+           grid={"x1": [-1e308, 1e308, 3], "x2": [0.0, 1.0, 2]}), "grid"),
+    ("non-unit-normal-fundamental",
+     _edit(fundamental_scenario(3, 3), outputs=["displacement", "traction"],
+           normal=[0.0, 2.0]), "normal"),
+    ("non-unit-normal-freefield-half", _edit(freefield_scenario(), normal=[0.6, 0.6]),
+     "normal"),
+    ("outputs-number", _edit(fundamental_scenario(3, 3), outputs=5), "outputs"),
+    ("outputs-string", _edit(fundamental_scenario(3, 3), outputs="displacement"), "outputs"),
+]
+
+
+class TestInputBoundary:
+    """Non-finite or malformed input exits 2 at validation and writes nothing."""
+
+    @pytest.mark.parametrize("doc, field", [case[1:] for case in INVALID_SCENARIOS],
+                             ids=[case[0] for case in INVALID_SCENARIOS])
+    def test_invalid_scenario(self, tmp_path, material_file, capsys, doc, field):
+        # "1e400" stands for the JSON number literal, which parses to inf
+        text = json.dumps(doc).replace('"1e400"', "1e400")
+        path = tmp_path / "scenario.json"
+        path.write_text(text)
+        out = tmp_path / "field.csv"
+        code = cli.main(["sample", "--material", material_file, "--scenario", str(path),
+                         "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert field in capsys.readouterr().err.replace(str(path), "")
+
+    def test_infinite_modulus(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({**MATERIAL, "c44": math.inf}))
+        scenario = write_scenario(tmp_path, fundamental_scenario(3, 3))
+        out = tmp_path / "field.csv"
+        assert cli.main(["sample", "--material", str(path), "--scenario", scenario,
+                         "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "c44" in capsys.readouterr().err.replace(str(path), "")
+        assert cli.main(["verify", "--material", str(path)]) == 2
+
+    @pytest.mark.parametrize("command", ["verify", "decompose"])
+    def test_infinite_omega_argument(self, material_file, capsys, command):
+        assert cli.main([command, "--material", material_file, "--omega", "1.0,inf"]) == 2
+        assert "omega" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_overflowing_evaluation_is_evaluation_error(self, tmp_path, material_file):
+        # finite input, but amplitude * k overflows in the traction
+        doc = _edit(freefield_scenario(), kind="freefield-full", omega=1e308,
+                    wave={"mode": "S1", "amplitude": [1e6, 0.0], "phi": 0.6})
+        out = tmp_path / "field.csv"
+        assert cli.main(["sample", "--material", material_file,
+                         "--scenario", write_scenario(tmp_path, doc), "--out", str(out)]) == 3
+        assert not out.exists()

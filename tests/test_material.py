@@ -8,6 +8,8 @@ import pytest
 
 from qcwaves import (
     CouplingTooStrong,
+    DomainError,
+    InvalidMaterial,
     NonPositiveDensity,
     NonPositiveFrequency,
     NonPositiveModulus,
@@ -59,6 +61,18 @@ class TestValidate:
     def test_nan_rejected(self):
         with pytest.raises(NonPositiveModulus):
             validate(QcMaterial(c44=math.nan, R3=0.0, K2=1.0, rho=1.0))
+        for key in ("c44", "R3", "K2"):
+            for bad in (math.inf, -math.inf):
+                with pytest.raises(NonPositiveModulus):
+                    validate(QcMaterial(**{"c44": 2.0, "R3": 1.0, "K2": 2.0, "rho": 1.0,
+                                           key: bad}))
+        with pytest.raises(NonPositiveDensity):
+            validate(QcMaterial(c44=2.0, R3=1.0, K2=2.0, rho=math.inf))
+
+    def test_overflowing_determinant_rejected(self):
+        # c44*K2 = 1e600 overflows; decompose() would return a2 = inf
+        with pytest.raises(InvalidMaterial):
+            validate(QcMaterial(c44=1e300, R3=0.0, K2=1e300, rho=1.0))
 
     def test_degenerate_determinant_rejected(self):
         with pytest.raises(CouplingTooStrong):
@@ -200,3 +214,10 @@ class TestWaveParameters:
         d = decompose(QcMaterial(c44=2.0, R3=1.0, K2=2.0, rho=1.0))
         with pytest.raises(NonPositiveDensity):
             wave_parameters(d, -1.0, 2.0)
+
+    def test_wavenumbers_outside_float_range(self):
+        d = decompose(QcMaterial(c44=2.0, R3=1.0, K2=2.0, rho=1.0))
+        with pytest.raises(DomainError):
+            wave_parameters(d, 5e-324, 1.0)  # rho / a1 underflows: k1 = 0
+        with pytest.raises(DomainError):
+            wave_parameters(d, 1e300, 1e300)  # k2 overflows

@@ -124,6 +124,12 @@ class TestHankel:
             hankel1_0(0.0)
         with pytest.raises(DomainError):
             hankel1_1(-1.0)
+        for f in (bessel_j0, bessel_j1, bessel_y0, bessel_y1, hankel1_0, hankel1_1):
+            with pytest.raises(DomainError):  # not a math domain error from cos(inf)
+                f(math.inf)
+        for f in (bessel_y0, bessel_y1, hankel1_0, hankel1_1):
+            with pytest.raises(DomainError):  # not a math domain error from log(0.5 * x)
+                f(5e-324)
 
 
 class TestMacdonald:
