@@ -1,40 +1,40 @@
 """Real-argument cylinder functions J0, J1, Y0, Y1, H0^(1), H1^(1) and the
-imaginary-argument Macdonald values K0(-ix), K1(-ix).
+imaginary-argument Macdonald values K0(-ix), K1(-ix), implemented in-repo so
+the package is self-contained and the oracle tests test something.
 
-Implemented in-repo so the package is self-contained and the accompanying
-oracle tests actually test something.
+All eight functions are one line over one core, ``_jy(name, nu, x)``, which
+checks the domain and returns (J_nu(x), Y_nu(x)) for nu in {0, 1}:
 
-Strategy (the classical split):
+* ``0 <= x <= 4``: the ascending series (DLMF 10.2.2, 10.8.1) with
+  psi(k+1) = H_k - gamma, gamma kept outside the sum, z = x^2/4 and
+  c_k = (-z)^k / (k! (k+nu)!):
 
-* ``0 <= x <= 4``: ascending power series, summed with ``math.fsum``. The
-  largest term at x = 4 is O(2), so cancellation costs at most a few ulp.
-* ``x > 4``: phase-amplitude form
+      J_nu = (x/2)^nu sum_k c_k
+      Y_nu = (2/pi) ((ln(x/2) + gamma) J_nu - nu/x
+                     - (1/2) (x/2)^nu sum_k (H_k + H_(k+nu)) c_k)
+
+  Both sums run in one loop and are added with ``math.fsum``; the largest
+  term at x = 4 is O(2), so cancellation costs at most a few ulp.
+* ``x > 4``: the phase-amplitude form (DLMF 10.17)
 
       J_nu(x) = sqrt(2/(pi x)) * (P_nu cos(chi_nu) - Q_nu sin(chi_nu))
       Y_nu(x) = sqrt(2/(pi x)) * (P_nu sin(chi_nu) + Q_nu cos(chi_nu))
 
   with chi_nu = x - (2 nu + 1) pi/4. P_nu and 8x*Q_nu are smooth functions
-  of (4/x)^2 and are evaluated from frozen degree-29 Chebyshev tables
-  (see ``tools/generate_cylinder_tables.py``). Because the phase carries the
-  oscillation exactly, the absolute error stays a small multiple of machine
-  epsilon times the amplitude sqrt(2/(pi x)) even arbitrarily close to the
-  zeros of J and Y.
+  of (4/x)^2, evaluated from frozen degree-29 Chebyshev tables (see
+  ``tools/generate_cylinder_tables.py``).
 
 Measured worst-case relative error is below 1e-12 on (0, 12] and the
-error relative to the amplitude stays below 3e-14 out to x ~ 300, well
-inside the 1e-10 target.
+error relative to the amplitude stays below 3e-14 out to x ~ 300.
 
-The Macdonald values use the connection formulas
-
-    K0(-ix) = (i pi / 2) * H0^(1)(x),      K1(-ix) = -(pi / 2) * H1^(1)(x),
-
-i.e. K_nu(-ix) = (pi/2) i^(nu+1) H_nu^(1)(x); the order-one constant is
-pinned against an independent ascending-series oracle in the test suite.
+The Macdonald values use K_nu(-ix) = (pi/2) i^(nu+1) H_nu^(1)(x), i.e.
+K0(-ix) = (i pi / 2) H0^(1)(x) and K1(-ix) = -(pi / 2) H1^(1)(x); the
+order-one constant is pinned against an independent series oracle in the
+tests.
 
 Arguments must be finite, x >= 0 for J and x >= 2.2e-308 (a normal float)
 for Y, H and K; anything else raises :class:`~qcwaves.errors.DomainError`
-rather than silently continuing analytically. All functions are pure and
-thread-safe.
+naming the function. All functions are pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -62,6 +62,9 @@ _XCUT = _cyltables.XCUT
 _SERIES_TOL = 1e-20
 # Smallest argument of Y, H and K: 0.5 * x in their log(x / 2) term stays normal.
 _X_MIN = sys.float_info.min
+# Chebyshev tables of P_nu and 8x Q_nu, indexed by nu.
+_P = (_cyltables.P0, _cyltables.P1)
+_QT = (_cyltables.QT0, _cyltables.QT1)
 
 
 def _clenshaw(coeffs, t: float) -> float:
@@ -72,156 +75,94 @@ def _clenshaw(coeffs, t: float) -> float:
     return t * b1 - b2 + coeffs[0]
 
 
-def _amplitude_parts(nu: int, x: float) -> tuple[float, float, float, float]:
-    """Return (P_nu, Q_nu, cos chi_nu, sin chi_nu) for x > XCUT."""
-    u = (_XCUT / x) ** 2
-    t = 2.0 * u - 1.0
-    if nu == 0:
-        p = _clenshaw(_cyltables.P0, t)
-        q = _clenshaw(_cyltables.QT0, t) / (8.0 * x)
-    else:
-        p = _clenshaw(_cyltables.P1, t)
-        q = _clenshaw(_cyltables.QT1, t) / (8.0 * x)
+def _series(nu: int, x: float, with_y: bool) -> tuple[float, float]:
+    """(J_nu(x), Y_nu(x)) from the ascending series; Y is nan unless with_y.
+
+    Each sum stops after its first term below _SERIES_TOL. The Y0 terms
+    carry 2 H_k, so its cut-off is doubled: it stops at the same k as the
+    usual sum of H_k c_k.
+    """
+    z = 0.25 * x * x
+    tol, y_tol = _SERIES_TOL, (2 - nu) * _SERIES_TOL
+    c, h_k, h_k_nu = 1.0, 0.0, float(nu)  # c_k, H_k, H_(k+nu) at k = 0
+    j_terms, y_terms = [c], [h_k_nu]
+    j_open, y_open = True, with_y
+    k = 0
+    while j_open or y_open:
+        k += 1
+        c *= -z / (k * (k + nu))
+        if j_open:
+            j_terms.append(c)
+            j_open = abs(c) > tol
+        if y_open:
+            h_k += 1.0 / k
+            h_k_nu += 1.0 / (k + nu)
+            t = c * (h_k + h_k_nu)
+            y_terms.append(t)
+            y_open = abs(t) >= y_tol
+    half_x_nu = 0.5 * x if nu else 1.0
+    j = half_x_nu * math.fsum(j_terms)
+    if not with_y:
+        return j, math.nan
+    log_term = (math.log(0.5 * x) + EULER_GAMMA) * j
+    y = log_term - nu / x - half_x_nu * (0.5 * math.fsum(y_terms))
+    return j, (2.0 / math.pi) * y
+
+
+def _jy(name: str, nu: int, x: float, x_min: float = _X_MIN) -> tuple[float, float]:
+    """(J_nu(x), Y_nu(x)) for nu in {0, 1}, or DomainError naming ``name``.
+
+    x_min = 0 admits x = 0 for the J-only functions; Y is then nan on the
+    series branch.
+    """
+    if not (x_min <= x < math.inf):
+        raise DomainError(f"{name} requires finite x >= {x_min}; got {x}")
+    if x <= _XCUT:
+        return _series(nu, x, x_min > 0)
+    t = 2.0 * (_XCUT / x) ** 2 - 1.0
+    p = _clenshaw(_P[nu], t)
+    q = _clenshaw(_QT[nu], t) / (8.0 * x)
     chi = x - (2 * nu + 1) * 0.25 * math.pi
-    return p, q, math.cos(chi), math.sin(chi)
-
-
-def _jy_large(nu: int, x: float) -> tuple[float, float]:
-    p, q, c, s = _amplitude_parts(nu, x)
+    c, s = math.cos(chi), math.sin(chi)
     m = math.sqrt(2.0 / (math.pi * x))
     return m * (p * c - q * s), m * (p * s + q * c)
 
 
-def _j0_series(x: float) -> float:
-    z = 0.25 * x * x
-    term = 1.0
-    terms = [1.0]
-    k = 0
-    while abs(term) > _SERIES_TOL:
-        k += 1
-        term *= -z / (k * k)
-        terms.append(term)
-    return math.fsum(terms)
-
-
-def _j1_series(x: float) -> float:
-    z = 0.25 * x * x
-    term = 1.0
-    terms = [1.0]
-    k = 0
-    while abs(term) > _SERIES_TOL:
-        k += 1
-        term *= -z / (k * (k + 1))
-        terms.append(term)
-    return 0.5 * x * math.fsum(terms)
-
-
-def _y0_series(x: float, j0: float) -> float:
-    # Y0 = (2/pi) * ((ln(x/2) + gamma) j0 + sum_{k>=1} (-1)^(k+1) H_k z^k / (k!)^2)
-    z = 0.25 * x * x
-    term = 1.0
-    h = 0.0
-    terms = []
-    k = 0
-    while True:
-        k += 1
-        term *= -z / (k * k)
-        h += 1.0 / k
-        t = -term * h
-        terms.append(t)
-        if abs(t) < _SERIES_TOL:
-            break
-    s = math.fsum(terms)
-    return (2.0 / math.pi) * ((math.log(0.5 * x) + EULER_GAMMA) * j0 + s)
-
-
-def _y1_series(x: float, j1: float) -> float:
-    # Y1 = (2/pi) * ((ln(x/2) + gamma) j1 - 1/x
-    #               - (x/4) sum_{k>=0} (-1)^k (H_k + H_{k+1}) z^k / (k! (k+1)!))
-    z = 0.25 * x * x
-    term = 1.0
-    hk = 0.0
-    hk1 = 1.0
-    terms = [hk + hk1]
-    k = 0
-    while True:
-        k += 1
-        term *= -z / (k * (k + 1))
-        hk += 1.0 / k
-        hk1 += 1.0 / (k + 1)
-        t = term * (hk + hk1)
-        terms.append(t)
-        if abs(t) < _SERIES_TOL:
-            break
-    s = math.fsum(terms)
-    return (2.0 / math.pi) * (
-        (math.log(0.5 * x) + EULER_GAMMA) * j1 - 1.0 / x - 0.25 * x * s
-    )
-
-
 def bessel_j0(x: float) -> float:
     """Bessel function of the first kind, order zero, x >= 0."""
-    if not (0.0 <= x < math.inf):
-        raise DomainError(f"bessel_j0 requires finite x >= 0; got {x}")
-    if x <= _XCUT:
-        return _j0_series(x)
-    return _jy_large(0, x)[0]
+    return _jy("bessel_j0", 0, x, 0)[0]
 
 
 def bessel_j1(x: float) -> float:
     """Bessel function of the first kind, order one, x >= 0."""
-    if not (0.0 <= x < math.inf):
-        raise DomainError(f"bessel_j1 requires finite x >= 0; got {x}")
-    if x <= _XCUT:
-        return _j1_series(x)
-    return _jy_large(1, x)[0]
+    return _jy("bessel_j1", 1, x, 0)[0]
 
 
 def bessel_y0(x: float) -> float:
     """Bessel function of the second kind, order zero, x > 0."""
-    if not (_X_MIN <= x < math.inf):
-        raise DomainError(f"bessel_y0 requires finite x >= {_X_MIN}; got {x}")
-    if x <= _XCUT:
-        return _y0_series(x, _j0_series(x))
-    return _jy_large(0, x)[1]
+    return _jy("bessel_y0", 0, x)[1]
 
 
 def bessel_y1(x: float) -> float:
     """Bessel function of the second kind, order one, x > 0."""
-    if not (_X_MIN <= x < math.inf):
-        raise DomainError(f"bessel_y1 requires finite x >= {_X_MIN}; got {x}")
-    if x <= _XCUT:
-        return _y1_series(x, _j1_series(x))
-    return _jy_large(1, x)[1]
+    return _jy("bessel_y1", 1, x)[1]
 
 
 def hankel1_0(x: float) -> complex:
     """Hankel function of the first kind H0^(1)(x) = J0(x) + i Y0(x), x > 0."""
-    if not (_X_MIN <= x < math.inf):
-        raise DomainError(f"hankel1_0 requires finite x >= {_X_MIN}; got {x}")
-    if x <= _XCUT:
-        j = _j0_series(x)
-        return complex(j, _y0_series(x, j))
-    j, y = _jy_large(0, x)
-    return complex(j, y)
+    return complex(*_jy("hankel1_0", 0, x))
 
 
 def hankel1_1(x: float) -> complex:
     """Hankel function of the first kind H1^(1)(x) = J1(x) + i Y1(x), x > 0."""
-    if not (_X_MIN <= x < math.inf):
-        raise DomainError(f"hankel1_1 requires finite x >= {_X_MIN}; got {x}")
-    if x <= _XCUT:
-        j = _j1_series(x)
-        return complex(j, _y1_series(x, j))
-    j, y = _jy_large(1, x)
-    return complex(j, y)
+    return complex(*_jy("hankel1_1", 1, x))
 
 
 def macdonald_k0_neg_i(x: float) -> complex:
     """K0(-ix) = (i pi / 2) H0^(1)(x) for x > 0."""
-    return 0.5j * math.pi * hankel1_0(x)
+    return 0.5j * math.pi * complex(*_jy("macdonald_k0_neg_i", 0, x))
 
 
 def macdonald_k1_neg_i(x: float) -> complex:
     """K1(-ix) = -(pi / 2) H1^(1)(x) for x > 0."""
-    return -0.5 * math.pi * hankel1_1(x)
+    return -0.5 * math.pi * complex(*_jy("macdonald_k1_neg_i", 1, x))
