@@ -8,7 +8,9 @@ implementation:
   correct to double precision.
 * ``x > 12``: the Stokes (large-argument) asymptotic expansion truncated at
   its smallest term; accurate to ~1e-13 at x = 12.5 and to machine
-  precision for x >= 15.
+  precision for x >= 15. The phase x - (2 nu + 1) pi/4 is reduced modulo
+  2 pi in 50-digit decimal arithmetic, which keeps it to double precision
+  for x up to ~1e33.
 
 Also provides the ascending series of K0 and K1 continued to complex
 argument, used to pin the Hankel connection constants.
@@ -111,7 +113,7 @@ def _stokes_pq(nu: int, x: float) -> tuple[float, float]:
 
 def _stokes_jy(nu: int, x: float) -> tuple[float, float]:
     p, q = _stokes_pq(nu, x)
-    chi = x - (2 * nu + 1) * math.pi / 4.0
+    chi = float((Decimal(x) - (2 * nu + 1) * PI / 4) % (2 * PI))
     amp = math.sqrt(2.0 / (math.pi * x))
     return (amp * (p * math.cos(chi) - q * math.sin(chi)),
             amp * (p * math.sin(chi) + q * math.cos(chi)))

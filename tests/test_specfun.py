@@ -78,6 +78,21 @@ def test_oracle_equivalence_beyond_series_range(name):
         assert abs(fn(x) - ref) <= 1e-10 * abs(ref)
 
 
+@pytest.mark.parametrize("x", [3.3e5, 7.8e6, 9.9e8, 1e15])
+def test_phase_exact_at_large_argument(x):
+    # a phase x - (2 nu + 1) pi/4 rounded in floats is off by ~x * eps
+    amplitude = math.sqrt(2.0 / (math.pi * x))
+    for name, (fn, oracle) in PRODUCTION.items():
+        assert abs(fn(x) - oracle(x)) <= 1e-14 * amplitude, name
+
+
+def test_amplitude_at_float_maximum():
+    # pi * x overflows here; |H_nu(x)| * sqrt(x) -> sqrt(2/pi)
+    target = math.sqrt(2.0 / math.pi)
+    for fn in (hankel1_0, hankel1_1):
+        assert abs(fn(1e308)) * math.sqrt(1e308) == pytest.approx(target, rel=1e-13)
+
+
 def test_branch_is_continuous_at_split():
     # production switches from series to phase-amplitude at x = 4
     for name, (fn, oracle) in PRODUCTION.items():
