@@ -23,8 +23,10 @@ matrix and the unit normal:
 
 The time convention is e^(-i omega t), implied by the outgoing H^(1) kernel;
 it is documented here and not configurable. The kernel is log-singular at
-r = 0: evaluation requires r > 1e-12 * (1 + |x|), below which
-SourceCoincidesWithField is raised (no regularized self-term is provided).
+r = 0: evaluation requires r > 1e-12 * max(|x|, |xi|), a floor relative to
+the coordinates (so it holds at any length scale, and r = 0 is always
+rejected), below which SourceCoincidesWithField is raised (no regularized
+self-term is provided).
 All functions are pure and safe to call concurrently.
 """
 
@@ -57,8 +59,9 @@ def separation(x, xi) -> tuple[float, float, float]:
     return r1, r2, math.hypot(r1, r2)
 
 
-def _check_r(r: float, x) -> None:
-    r_min = 1e-12 * (1.0 + math.hypot(float(x[0]), float(x[1])))
+def _check_r(r: float, x, xi) -> None:
+    r_min = 1e-12 * max(math.hypot(float(x[0]), float(x[1])),
+                        math.hypot(float(xi[0]), float(xi[1])))
     if r <= r_min:
         raise SourceCoincidesWithField(
             f"field point within {r_min:g} of the source (r = {r:g})"
@@ -82,7 +85,7 @@ def fundamental_displacement(m: QcMaterial, x, xi, omega: float) -> np.ndarray:
     d = decompose(m)
     wp = wave_parameters(d, m.rho, omega)
     _, _, r = separation(x, xi)
-    _check_r(r, x)
+    _check_r(r, x, xi)
     f1 = macdonald_k0_neg_i(wp.k1 * r) / (TWO_PI * d.a1)
     f2 = macdonald_k0_neg_i(wp.k2 * r) / (TWO_PI * d.a2)
     q = d.rotation()
@@ -98,7 +101,7 @@ def fundamental_gradient(m: QcMaterial, x, xi, omega: float) -> np.ndarray:
     d = decompose(m)
     wp = wave_parameters(d, m.rho, omega)
     r1, r2, r = separation(x, xi)
-    _check_r(r, x)
+    _check_r(r, x, xi)
     g1 = 1j * wp.k1 * macdonald_k1_neg_i(wp.k1 * r) / (TWO_PI * d.a1)
     g2 = 1j * wp.k2 * macdonald_k1_neg_i(wp.k2 * r) / (TWO_PI * d.a2)
     q = d.rotation()

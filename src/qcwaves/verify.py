@@ -8,8 +8,9 @@ forms coded directly, or plain re-evaluation with swapped arguments.
 
 All checks are deterministic: random sampling uses an explicit seed
 (DEFAULT_SEED unless overridden) that is recorded in the returned report,
-and aggregation is order-independent (max reductions), so reports are
-reproducible bit for bit.
+and aggregation is order-independent, so reports are reproducible bit for
+bit. Every reduction is ``_worst``, a max that returns NaN if any value is
+NaN (the builtin ``max(0.0, nan)`` is 0.0), so a NaN result fails its check.
 
 ``SUITES`` maps each ``qcwaves verify`` suite name to a runner
 ``(m, omega, rng, seed) -> dict`` that samples its layout from ``rng`` and
@@ -40,6 +41,8 @@ __all__ = [
     "DIRAC_FLUX_TOLERANCE",
     "GREEN_TRACTION_TOLERANCE",
     "FREEFIELD_TRACTION_TOLERANCE",
+    "RECIPROCITY_TOLERANCE",
+    "DECOUPLING_TOLERANCE",
     "ResidualReport",
     "FluxReport",
     "ReciprocityReport",
@@ -66,6 +69,8 @@ PDE_WAVE_TOLERANCE = 1e-6  # smooth plane waves on a 1/3000-wavelength stencil
 DIRAC_FLUX_TOLERANCE = 1e-3  # omitted inertia term at eps * k2 = 1e-3
 GREEN_TRACTION_TOLERANCE = 1e-10  # image cancellation relative to one source
 FREEFIELD_TRACTION_TOLERANCE = 1e-13  # exactly zero up to round-off
+RECIPROCITY_TOLERANCE = 1e-12  # symmetric by construction, up to round-off
+DECOUPLING_TOLERANCE = 1e-12  # same K0 values through two routes
 
 
 @dataclass(frozen=True)
@@ -133,6 +138,11 @@ class DecouplingReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+def _worst(*values: float) -> float:
+    """The largest value, or NaN if any value is NaN."""
+    return math.nan if any(math.isnan(v) for v in values) else max(values)
 
 
 def _slow_wavelength(m: QcMaterial, omega: float) -> float:
@@ -244,7 +254,6 @@ def reciprocity_check(
     omega: float,
     sample_count: int = 100,
     seed: int = DEFAULT_SEED,
-    tolerance: float = 1e-12,
 ) -> ReciprocityReport:
     """Check v*_12 = v*_21 and v*(x, xi) = v*(xi, x) over random point pairs."""
     lam = _slow_wavelength(m, omega)
@@ -261,15 +270,14 @@ def reciprocity_check(
         v_xy = fundamental_displacement(m, x, xi, omega)
         v_yx = fundamental_displacement(m, xi, x, omega)
         scale = float(np.max(np.abs(v_xy)))
-        dev = abs(v_xy[0, 1] - v_xy[1, 0]) / scale
-        dev = max(dev, float(np.max(np.abs(v_xy - v_yx))) / scale)
-        worst = max(worst, float(dev))
+        worst = _worst(worst, float(abs(v_xy[0, 1] - v_xy[1, 0]) / scale),
+                       float(np.max(np.abs(v_xy - v_yx))) / scale)
     return ReciprocityReport(
-        passed=bool(worst < tolerance),
+        passed=bool(worst < RECIPROCITY_TOLERANCE),
         max_deviation=worst,
         sample_count=sample_count,
         seed=seed,
-        tolerance=tolerance,
+        tolerance=RECIPROCITY_TOLERANCE,
     )
 
 
@@ -289,7 +297,6 @@ def decoupling_check(
     omega: float,
     points: Sequence,
     xi=(0.0, -1.0),
-    tolerance: float = 1e-12,
 ) -> DecouplingReport:
     """At R3 = 0, compare kernels against the closed isotropic forms.
 
@@ -309,7 +316,7 @@ def decoupling_check(
         u_iso, w_iso = _isotropic_pair(m, omega, r)
         v = fundamental_displacement(m, p, xi, omega)
         scale = max(abs(u_iso), abs(w_iso))
-        worst = max(
+        worst = _worst(
             worst,
             float(abs(v[0, 0] - u_iso) / scale),
             float(abs(v[1, 1] - w_iso) / scale),
@@ -321,7 +328,7 @@ def decoupling_check(
             u_im, w_im = _isotropic_pair(m, omega, r_im)
             g = green_displacement(m, p, xi, omega)
             g_scale = max(abs(u_iso + u_im), abs(w_iso + w_im))
-            worst = max(
+            worst = _worst(
                 worst,
                 float(abs(g[0, 0] - (u_iso + u_im)) / g_scale),
                 float(abs(g[1, 1] - (w_iso + w_im)) / g_scale),
@@ -330,10 +337,10 @@ def decoupling_check(
             )
         n_checked += 1
     return DecouplingReport(
-        passed=bool(worst < tolerance),
+        passed=bool(worst < DECOUPLING_TOLERANCE),
         max_relative_error=float(worst),
         n_points=n_checked,
-        tolerance=tolerance,
+        tolerance=DECOUPLING_TOLERANCE,
     )
 
 
@@ -362,7 +369,7 @@ def boundary_traction_scan(
             t = freefield_traction(m, wave, omega, x, normal, half_plane=include_reflection)
             ref = freefield_traction(m, wave, omega, x, normal, half_plane=False)
             scale = float(np.max(np.abs(ref)))
-            worst = max(worst, float(np.max(np.abs(t))) / scale)
+            worst = _worst(worst, float(np.max(np.abs(t))) / scale)
         return float(worst)
     xi = (float(source_or_wave[0]), float(source_or_wave[1]))
     spread = 5.0 * max(lam, abs(xi[1]))
@@ -371,7 +378,7 @@ def boundary_traction_scan(
         t = green_traction(m, x, xi, omega, normal)
         ref = fundamental_traction(m, x, xi, omega, normal)
         scale = float(np.max(np.abs(ref)))
-        worst = max(worst, float(np.max(np.abs(t))) / scale)
+        worst = _worst(worst, float(np.max(np.abs(t))) / scale)
     return float(worst)
 
 
@@ -395,7 +402,7 @@ def _pde_residual_suite(m: QcMaterial, omega: float, rng, seed: int) -> dict:
                 lambda p, col=col: fundamental_displacement(m, p, xi, omega)[:, col],
                 m, omega, at, h=default_step(m, omega, r),
             )
-            worst = max(worst, rep.relative_residual)
+            worst = _worst(worst, rep.relative_residual)
     lam = _slow_wavelength(m, omega)
     wave_worst = 0.0
     for mode in ("S1", "S2"):
@@ -405,7 +412,7 @@ def _pde_residual_suite(m: QcMaterial, omega: float, rng, seed: int) -> dict:
             lambda p: fullplane_incident(m, wave, omega, p).as_array(),
             m, omega, at, h=lam / 3000.0,  # smooth field: fine stencil
         )
-        wave_worst = max(wave_worst, rep.relative_residual)
+        wave_worst = _worst(wave_worst, rep.relative_residual)
     passed = worst < PDE_KERNEL_TOLERANCE and wave_worst < PDE_WAVE_TOLERANCE
     return {
         "status": "pass" if passed else "fail",
@@ -450,11 +457,11 @@ def _boundary_scan_suite(m: QcMaterial, omega: float, rng, seed: int) -> dict:
     green_worst = 0.0
     for _ in range(5):
         xi = (rng.uniform(-lam, lam), rng.uniform(-2.0 * lam, -0.05 * lam))
-        green_worst = max(green_worst, boundary_traction_scan(m, omega, xi, n_points=50))
+        green_worst = _worst(green_worst, boundary_traction_scan(m, omega, xi, n_points=50))
     wave_worst = 0.0
     for mode in ("S1", "S2"):
         wave = _random_wave(mode, rng)
-        wave_worst = max(wave_worst, boundary_traction_scan(m, omega, wave, n_points=50))
+        wave_worst = _worst(wave_worst, boundary_traction_scan(m, omega, wave, n_points=50))
     passed = green_worst < GREEN_TRACTION_TOLERANCE and wave_worst < FREEFIELD_TRACTION_TOLERANCE
     return {
         "status": "pass" if passed else "fail",

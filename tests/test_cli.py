@@ -238,6 +238,10 @@ class TestVerify:
                          "--suite", "reciprocity"])
         assert code == 4
 
+    def test_high_frequency_passes(self, material_file):
+        # probe radii scale with 1/k, so the coincidence floor must scale too
+        assert cli.main(["verify", "--material", material_file, "--omega", "1e9,1e20"]) == 0
+
     def test_seed_recorded_and_deterministic(self, material_file, tmp_path):
         paths = [str(tmp_path / f"r{i}.json") for i in range(2)]
         for p in paths:

@@ -63,6 +63,15 @@ def test_source_coincides_with_field():
         fundamental_displacement(M, XI, XI, OMEGA)
     with pytest.raises(SourceCoincidesWithField):
         fundamental_gradient(M, (1.0, 1.0 + 1e-16), (1.0, 1.0), OMEGA)
+    with pytest.raises(SourceCoincidesWithField):
+        fundamental_displacement(M, (0.0, 0.0), (0.0, 0.0), OMEGA)
+
+
+def test_coincidence_floor_scales_with_the_geometry():
+    # v* depends on k r only: shrinking lengths and wavelength by 1e150 keeps it
+    v = fundamental_displacement(M, (3e-150, -1e-150), (1e-150, 0.0), OMEGA * 1e150)
+    ref = fundamental_displacement(M, (3.0, -1.0), (1.0, 0.0), OMEGA)
+    assert np.max(np.abs(v - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestGradient:

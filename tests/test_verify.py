@@ -1,10 +1,12 @@
 """The verification harness itself: residuals, flux, symmetry, decoupling."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+import qcwaves.cli
 import qcwaves.verify
 from qcwaves import (
     IncidentWave,
@@ -187,7 +189,45 @@ def test_reports_serialize_to_plain_dicts():
     d = rep.to_dict()
     assert set(d) == {"point", "h", "residual_norm", "reference_norm",
                       "relative_residual", "degenerate_reference"}
-    import json
-
     json.dumps(reciprocity_check(M, OMEGA, sample_count=5).to_dict())
     json.dumps(d)
+
+
+class TestNanResult:
+    """A NaN result must fail its check: the builtin max(0.0, nan) is 0.0."""
+
+    KERNELS = ("fundamental_displacement", "fundamental_traction", "green_displacement",
+               "green_traction", "freefield_traction", "macdonald_k0_neg_i")
+
+    @pytest.fixture
+    def nan_kernels(self, monkeypatch):
+        for name in self.KERNELS:
+            kernel = getattr(qcwaves.verify, name)
+            monkeypatch.setattr(qcwaves.verify, name,
+                                lambda *a, kernel=kernel, **kw: kernel(*a, **kw) * math.nan)
+
+    @pytest.mark.parametrize("suite", sorted(qcwaves.verify.SUITES))
+    def test_every_suite_fails(self, nan_kernels, suite):
+        report = qcwaves.verify.SUITES[suite](M_DECOUPLED, OMEGA, np.random.default_rng(3), 3)
+        assert report["status"] == "fail"
+
+    def test_checks_report_nan(self, nan_kernels):
+        rep = reciprocity_check(M, OMEGA, sample_count=5)
+        assert not rep.passed and math.isnan(rep.max_deviation)
+        assert math.isnan(boundary_traction_scan(M, OMEGA, (0.2, -0.9), n_points=5))
+
+    def test_verify_exits_four(self, nan_kernels, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"schema_version": 1, "c44": M_DECOUPLED.c44, "R3": 0.0,
+                                    "K2": M_DECOUPLED.K2, "rho": M_DECOUPLED.rho}))
+        # without dirac-flux, whose "<" comparisons already fail on NaN
+        suites = "pde-residual,reciprocity,decoupling,boundary-scan"
+        assert qcwaves.cli.main(["verify", "--material", str(path), "--omega", "3.0",
+                                 "--suite", suites]) == 4
+
+
+def test_tolerances_are_the_named_constants():
+    assert reciprocity_check(M, OMEGA, sample_count=5).tolerance == \
+        qcwaves.verify.RECIPROCITY_TOLERANCE
+    rep = decoupling_check(M_DECOUPLED, OMEGA, [(0.5, -0.5)])
+    assert rep.tolerance == qcwaves.verify.DECOUPLING_TOLERANCE
