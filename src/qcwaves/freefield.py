@@ -23,6 +23,11 @@ exactly zero on the boundary. Stresses are computed from the analytic
 derivatives of the exponentials, so the dispersion relation
 k_mode^2 = rho omega^2 / a_mode makes the equations of motion hold to
 round-off. Grazing and normal incidence (phi = 0, pi/2) are rejected.
+
+Every field function takes x as one point, shape (2,), or N points, shape
+(N, 2), and then gives results with a leading axis of length N. Set-up and
+checks run once per call. Complex products are formed from separate real and
+imaginary float arrays, so a point gives the same bits alone or among others.
 """
 
 from __future__ import annotations
@@ -78,13 +83,14 @@ class IncidentWave:
 
 @dataclass(frozen=True)
 class FieldValue:
-    """Complex phonon and phason displacements at one point."""
+    """Complex phonon and phason displacements: complex at one point, shape (N,) at N."""
 
     u3: complex
     w3: complex
 
     def as_array(self) -> np.ndarray:
-        return np.array([self.u3, self.w3])
+        """(u3, w3) with shape (2,) at one point, (N, 2) at N points."""
+        return np.stack([self.u3, self.w3], axis=-1)
 
 
 def mode_vector(m: QcMaterial, mode: str) -> np.ndarray:
@@ -97,76 +103,84 @@ def mode_vector(m: QcMaterial, mode: str) -> np.ndarray:
     return np.array([-d.sin_psi, d.cos_psi])
 
 
-def _wave_setup(m: QcMaterial, wave: IncidentWave, omega: float):
-    d = decompose(m)
-    wp = wave_parameters(d, m.rho, omega)
+def _plane_wave(m: QcMaterial, wave: IncidentWave, omega: float, x, half_plane: bool):
+    """k, zeta, (cos phi, sin phi), exp(i k t) of the incident (and reflected)
+    wave as a (1 or 2, N, re/im) array, and whether x was one point. The
+    half-plane and finite-phase checks name the first offending point.
+    """
+    pts = np.asarray(x, dtype=float)
+    single, pts = pts.ndim == 1, pts.reshape(-1, 2)
+    if half_plane:
+        halfplane.check_field_point(pts)
+    wp = wave_parameters(decompose(m), m.rho, omega)
     k = wp.k1 if wave.mode == "S1" else wp.k2
-    zeta = mode_vector(m, wave.mode)
-    return k, zeta
+    c, s = math.cos(wave.phi), math.sin(wave.phi)
+    x1c, x2s = pts[:, 0] * c, pts[:, 1] * s
+    with np.errstate(over="ignore", invalid="ignore"):
+        kt = k * np.array([x1c + x2s, x1c - x2s] if half_plane else [x1c + x2s])
+    finite = np.isfinite(kt).all(axis=0)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise DomainError(f"plane-wave phase k * t = {kt[:, i].tolist()} is not finite "
+                          f"at point {pts[i].tolist()} (k = {k:g})")
+    phases = np.stack([np.cos(kt), np.sin(kt)], axis=-1)
+    return k, mode_vector(m, wave.mode), (c, s), phases, single
 
 
-def _phase(k: float, t: float) -> complex:
-    """exp(i k t); DomainError where k t leaves the float range."""
-    kt = k * t
-    if not (-math.inf < kt < math.inf):
-        raise DomainError(f"plane-wave phase k * t = {kt} is not finite (k = {k:g}, t = {t:g})")
-    return cmath.exp(1j * kt)
+def _times(a: complex, z: np.ndarray) -> np.ndarray:
+    """a * z, z as (re, im) on its last axis, from real products; a real a acts
+    as a + 0j, as in Python and numpy complex products (signs of zeros kept)."""
+    a, re, im = complex(a), z[..., 0], z[..., 1]
+    return np.stack([a.real * re - a.imag * im, a.real * im + a.imag * re], axis=-1)
+
+
+def _complex(z: np.ndarray, single: bool) -> np.ndarray:
+    """(re, im) pairs on the last axis as complex; the first point alone if single."""
+    z = np.ascontiguousarray(z).view(np.complex128)[..., 0]
+    return z[0] if single else z
+
+
+def _field(m: QcMaterial, wave: IncidentWave, omega: float, x, half_plane: bool) -> FieldValue:
+    _, zeta, _, e, single = _plane_wave(m, wave, omega, x, half_plane)
+    a = _times(wave.amplitude, e.sum(axis=0))
+    u3, w3 = _complex(np.stack([_times(z, a) for z in zeta], axis=1), single).T
+    return FieldValue(complex(u3), complex(w3)) if single else FieldValue(u3, w3)
 
 
 def fullplane_incident(m: QcMaterial, wave: IncidentWave, omega: float, x) -> FieldValue:
-    """Incident plane wave in the full plane at point x."""
-    k, zeta = _wave_setup(m, wave, omega)
-    phase = _phase(k, float(x[0]) * math.cos(wave.phi) + float(x[1]) * math.sin(wave.phi))
-    a = wave.amplitude * phase
-    return FieldValue(u3=a * zeta[0], w3=a * zeta[1])
+    """Incident plane wave in the full plane at the point(s) x."""
+    return _field(m, wave, omega, x, half_plane=False)
 
 
 def halfplane_freefield(m: QcMaterial, wave: IncidentWave, omega: float, x) -> FieldValue:
-    """Incident plus reflected wave in the half-plane x2 <= 0 at point x."""
-    halfplane.check_field_point(x)
-    k, zeta = _wave_setup(m, wave, omega)
-    c, s = math.cos(wave.phi), math.sin(wave.phi)
-    x1, x2 = float(x[0]), float(x[1])
-    bracket = _phase(k, x1 * c + x2 * s) + _phase(k, x1 * c - x2 * s)
-    a = wave.amplitude * bracket
-    return FieldValue(u3=a * zeta[0], w3=a * zeta[1])
+    """Incident plus reflected wave in the half-plane x2 <= 0 at the point(s) x."""
+    return _field(m, wave, omega, x, half_plane=True)
 
 
-def _displacement_gradient(
-    m: QcMaterial, wave: IncidentWave, omega: float, x, half_plane: bool
-) -> np.ndarray:
-    """Analytic derivatives d(u3, w3)/dx_j, shape (2 fields, 2 directions)."""
-    k, zeta = _wave_setup(m, wave, omega)
-    c, s = math.cos(wave.phi), math.sin(wave.phi)
-    x1, x2 = float(x[0]), float(x[1])
-    if half_plane:
-        halfplane.check_field_point(x)
-    e_inc = _phase(k, x1 * c + x2 * s)
-    if half_plane:
-        e_ref = _phase(k, x1 * c - x2 * s)
-        d1 = 1j * k * c * (e_inc + e_ref)
-        d2 = 1j * k * s * (e_inc - e_ref)  # exactly zero on x2 = 0
-    else:
-        d1 = 1j * k * c * e_inc
-        d2 = 1j * k * s * e_inc
-    grad_scalar = wave.amplitude * np.array([d1, d2])
-    return np.outer(zeta, grad_scalar)
+def _stress_parts(m: QcMaterial, wave: IncidentWave, omega: float, x, half_plane: bool):
+    """(sigma_3j, H_3j) as (N, j, re/im) arrays from the analytic gradient, and single."""
+    k, zeta, (c, s), e, single = _plane_wave(m, wave, omega, x, half_plane)
+    diff = e[0] - e[1] if half_plane else e[0]  # exactly zero on x2 = 0
+    d = np.stack([_times(1j * k * c, e.sum(axis=0)), _times(1j * k * s, diff)], axis=1)
+    g = _times(wave.amplitude, d)
+    du, dw = (_times(z, g) for z in zeta)
+    sigma = _times(m.c44, du) + _times(m.R3, dw)
+    return sigma, _times(m.R3, du) + _times(m.K2, dw), single
 
 
 def freefield_stress(
     m: QcMaterial, wave: IncidentWave, omega: float, x, half_plane: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Free-field stresses (sigma_3j, H_3j) for j = 1, 2, each shape (2,)."""
-    grad = _displacement_gradient(m, wave, omega, x, half_plane)
-    sigma = m.c44 * grad[0] + m.R3 * grad[1]
-    h = m.R3 * grad[0] + m.K2 * grad[1]
-    return sigma, h
+    """Free-field stresses (sigma_3j, H_3j) for j = 1, 2: each (2,), or (N, 2) at N points."""
+    sigma, h, single = _stress_parts(m, wave, omega, x, half_plane)
+    return _complex(sigma, single), _complex(h, single)
 
 
 def freefield_traction(
     m: QcMaterial, wave: IncidentWave, omega: float, x, n, half_plane: bool = False
 ) -> np.ndarray:
-    """Free-field tractions (t3, G3) on the unit normal n."""
+    """Free-field tractions (t3, G3) on the unit normal n: (2,), or (N, 2) at N points."""
     n1, n2 = kernels.check_normal(n)
-    sigma, h = freefield_stress(m, wave, omega, x, half_plane)
-    return np.array([sigma[0] * n1 + sigma[1] * n2, h[0] * n1 + h[1] * n2])
+    sigma, h, single = _stress_parts(m, wave, omega, x, half_plane)
+    t = np.stack([_times(n1, v[:, 0]) + _times(n2, v[:, 1]) for v in (sigma, h)], axis=1)
+    return _complex(t, single)

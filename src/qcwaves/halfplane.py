@@ -36,9 +36,12 @@ def image_point(xi) -> tuple[float, float]:
 
 
 def check_field_point(x) -> None:
-    """Raise PointOutsideHalfPlane unless x lies in the closed half-plane x2 <= 0."""
-    if float(x[1]) > 0.0:
-        raise PointOutsideHalfPlane(f"field point ({x[0]}, {x[1]}) must have x2 <= 0")
+    """Raise PointOutsideHalfPlane naming the first point of x ((2,) or (N, 2)) with x2 > 0."""
+    pts = np.asarray(x, dtype=float).reshape(-1, 2)
+    outside = pts[:, 1] > 0.0
+    if outside.any():
+        x1, x2 = pts[outside.argmax()].tolist()
+        raise PointOutsideHalfPlane(f"field point ({x1}, {x2}) must have x2 <= 0")
 
 
 def green_displacement(m: QcMaterial, x, xi, omega: float) -> np.ndarray:

@@ -41,6 +41,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 # Invariant checks are called through their modules: a tracer patching the
 # names bound here (benchmarks/tracing.py) then counts evaluation calls only.
 from . import __version__, halfplane, kernels
@@ -77,6 +79,7 @@ POINT_SOURCE_KINDS = ("fundamental", "green-half")
 HALF_PLANE_KINDS = ("green-half", "freefield-half")
 
 MATERIAL_KEYS = ("c44", "R3", "K2", "rho")
+_CSV_CHUNK_ROWS = 512  # rows per formatted CSV block: bounds the Python floats alive
 
 
 @dataclass(frozen=True)
@@ -257,20 +260,21 @@ def scenario_to_dict(s: Scenario) -> dict:
     return doc
 
 
-def _axis_values(lo: float, hi: float, count: int) -> list[float]:
+def _axis_values(lo: float, hi: float, count: int) -> np.ndarray:
     if count == 1:
-        return [lo]
+        return np.array([lo])
     step = (hi - lo) / (count - 1)
-    return [lo + i * step for i in range(count)]
+    with np.errstate(invalid="ignore"):  # 0 * inf: validate_scenario names the point
+        return lo + np.arange(count) * step
 
 
-def scenario_points(s: Scenario) -> list[tuple[float, float]]:
-    """Evaluation points in deterministic output order (x1 outer, x2 inner)."""
+def scenario_points(s: Scenario) -> np.ndarray:
+    """Evaluation points as an (N, 2) array in deterministic output order (x1 outer, x2 inner)."""
     if s.points is not None:
-        return list(s.points)
+        return np.array(s.points, dtype=float)
     (lo1, hi1, n1), (lo2, hi2, n2) = s.grid
-    return [(x1, x2) for x1 in _axis_values(lo1, hi1, n1)
-            for x2 in _axis_values(lo2, hi2, n2)]
+    x1, x2 = _axis_values(lo1, hi1, n1), _axis_values(lo2, hi2, n2)
+    return np.column_stack([np.repeat(x1, len(x2)), np.tile(x2, len(x1))])
 
 
 def validate_scenario(s: Scenario, m: QcMaterial) -> None:
@@ -291,13 +295,13 @@ def validate_scenario(s: Scenario, m: QcMaterial) -> None:
         kernels.check_normal(s.normal)
     if s.kind == "green-half":
         halfplane.image_point(s.source)
-    field = "points" if s.grid is None else "grid"
-    half_plane = s.kind in HALF_PLANE_KINDS
-    for p in scenario_points(s):
-        if not (math.isfinite(p[0]) and math.isfinite(p[1])):
-            raise ValidationError(f"{field}: point {list(p)} is not finite")
-        if half_plane:
-            halfplane.check_field_point(p)
+    pts = scenario_points(s)
+    finite = np.isfinite(pts).all(axis=1)
+    if not finite.all():
+        field = "points" if s.grid is None else "grid"
+        raise ValidationError(f"{field}: point {pts[finite.argmin()].tolist()} is not finite")
+    if s.kind in HALF_PLANE_KINDS:
+        halfplane.check_field_point(pts)
 
 
 def csv_header(s: Scenario) -> list[str]:
@@ -315,49 +319,39 @@ def csv_header(s: Scenario) -> list[str]:
     return cols
 
 
-def _point_source_row(s: Scenario, m: QcMaterial, p) -> list[float]:
-    if s.kind == "fundamental":
-        v = fundamental_displacement(m, p, s.source, s.omega)
+def sample_rows(s: Scenario, m: QcMaterial) -> np.ndarray:
+    """Evaluate the scenario as an (N, C) array with the csv_header columns.
+
+    Raises EvaluationError naming a failing point.
+    """
+    pts = scenario_points(s)
+    rows = np.empty((len(pts), len(csv_header(s))))
+    rows[:, :2] = pts
+    traction = "traction" in s.outputs
+    if s.kind in POINT_SOURCE_KINDS:
+        disp, trac = ((fundamental_displacement, fundamental_traction) if s.kind == "fundamental"
+                      else (green_displacement, green_traction))
+        for i, p in enumerate(pts.tolist()):
+            try:  # each 2x2 complex result fills 8 columns, row-major, re/im pairs
+                rows[i, 2:10] = disp(m, p, s.source, s.omega).ravel().view(float)
+                if traction:
+                    rows[i, 10:] = trac(m, p, s.source, s.omega, s.normal).ravel().view(float)
+            except QcError as exc:
+                raise EvaluationError(f"evaluation failed at point {p}: {exc}") from exc
     else:
-        v = green_displacement(m, p, s.source, s.omega)
-    row = [p[0], p[1]]
-    for z in (v[0, 0], v[0, 1], v[1, 0], v[1, 1]):
-        row += [z.real, z.imag]
-    if "traction" in s.outputs:
-        if s.kind == "fundamental":
-            t = fundamental_traction(m, p, s.source, s.omega, s.normal)
-        else:
-            t = green_traction(m, p, s.source, s.omega, s.normal)
-        for z in (t[0, 0], t[0, 1], t[1, 0], t[1, 1]):
-            row += [z.real, z.imag]
-    return row
-
-
-def _freefield_row(s: Scenario, m: QcMaterial, p) -> list[float]:
-    if s.kind == "freefield-full":
-        f = fullplane_incident(m, s.wave, s.omega, p)
-    else:
-        f = halfplane_freefield(m, s.wave, s.omega, p)
-    row = [p[0], p[1], f.u3.real, f.u3.imag, f.w3.real, f.w3.imag]
-    if "traction" in s.outputs:
-        t = freefield_traction(m, s.wave, s.omega, p, s.normal,
-                               half_plane=(s.kind == "freefield-half"))
-        row += [t[0].real, t[0].imag, t[1].real, t[1].imag]
-    return row
-
-
-def sample_rows(s: Scenario, m: QcMaterial) -> list[list[float]]:
-    """Evaluate the scenario; raises EvaluationError naming a failing point."""
-    rows = []
-    make_row = _point_source_row if s.kind in POINT_SOURCE_KINDS else _freefield_row
-    for p in scenario_points(s):
-        try:
-            row = make_row(s, m, p)
+        half_plane = s.kind == "freefield-half"
+        field = halfplane_freefield if half_plane else fullplane_incident
+        try:  # the library names the first failing point
+            rows[:, 2:6] = field(m, s.wave, s.omega, pts).as_array().view(float)
+            if traction:
+                rows[:, 6:] = freefield_traction(m, s.wave, s.omega, pts, s.normal,
+                                                 half_plane=half_plane).view(float)
         except QcError as exc:
-            raise EvaluationError(f"evaluation failed at point {list(p)}: {exc}") from exc
-        if not all(map(math.isfinite, row)):
-            raise EvaluationError(f"evaluation at point {list(p)} gave a non-finite value")
-        rows.append(row)
+            raise EvaluationError(f"evaluation failed: {exc}") from exc
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise EvaluationError(
+            f"evaluation at point {pts[finite.argmin()].tolist()} gave a non-finite value")
     return rows
 
 
@@ -371,9 +365,10 @@ def run_scenario(s: Scenario, m: QcMaterial, out_path, sidecar_path=None) -> int
     header = csv_header(s)
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
+        for start in range(0, len(rows), _CSV_CHUNK_ROWS):
             # repr of builtin float: shortest digits that round-trip exactly
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+            chunk = rows[start:start + _CSV_CHUNK_ROWS].tolist()
+            fh.write("".join(",".join(map(repr, row)) + "\n" for row in chunk))
     if sidecar_path is not None:
         sidecar = {
             "schema_version": SCHEMA_VERSION,

@@ -242,6 +242,11 @@ class TestVerify:
         # probe radii scale with 1/k, so the coincidence floor must scale too
         assert cli.main(["verify", "--material", material_file, "--omega", "1e9,1e20"]) == 0
 
+    @pytest.mark.filterwarnings("error")
+    def test_extreme_frequency_passes(self, material_file):
+        # rho omega^2 v overflows its norm from omega ~ 1e99 unless divided out
+        assert cli.main(["verify", "--material", material_file, "--omega", "1e99,1e200"]) == 0
+
     def test_seed_recorded_and_deterministic(self, material_file, tmp_path):
         paths = [str(tmp_path / f"r{i}.json") for i in range(2)]
         for p in paths:
@@ -380,3 +385,13 @@ class TestInputBoundary:
         assert cli.main(["sample", "--material", material_file,
                          "--scenario", write_scenario(tmp_path, doc), "--out", str(out)]) == 3
         assert not out.exists()
+
+    def test_overflowing_phase_names_its_point(self, tmp_path, material_file, capsys):
+        # k * t leaves the float range at the third point only
+        doc = _edit(freefield_scenario(), kind="freefield-full", omega=1e10,
+                    points=[[0.5, -1.0], [1.0, 0.0], [1e300, 2.0], [1.0, 1.0]])
+        out = tmp_path / "field.csv"
+        assert cli.main(["sample", "--material", material_file,
+                         "--scenario", write_scenario(tmp_path, doc), "--out", str(out)]) == 3
+        assert not out.exists()
+        assert "[1e+300, 2.0]" in capsys.readouterr().err

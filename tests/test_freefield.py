@@ -170,6 +170,11 @@ class TestHalfPlane:
         with pytest.raises(PointOutsideHalfPlane):
             halfplane_freefield(M, WAVE1, OMEGA, (0.0, 0.5))
 
+    def test_first_point_outside_is_named(self):
+        points = [(0.0, -1.0), (0.5, 0.25), (1.0, 2.0)]
+        with pytest.raises(PointOutsideHalfPlane, match=r"\(0\.5, 0\.25\)"):
+            halfplane_freefield(M, WAVE1, OMEGA, points)
+
 
 class TestStressAndTraction:
     def test_boundary_traction_is_machine_zero(self):
@@ -219,3 +224,36 @@ class TestStressAndTraction:
     def test_non_unit_normal_rejected(self):
         with pytest.raises(NonUnitNormal):
             freefield_traction(M, WAVE1, OMEGA, (0.0, 0.0), (2.0, 0.0))
+
+
+class TestArrayPoints:
+    """An (N, 2) call is N one-point calls through the same code: equal bit for bit."""
+
+    @pytest.mark.parametrize("wave", [WAVE1, WAVE2], ids=["S1", "S2"])
+    def test_rows_equal_single_point_calls(self, wave):
+        rng = np.random.default_rng(61)
+        points = np.column_stack([rng.uniform(-5.0, 5.0, 40), -rng.uniform(0.0, 5.0, 40)])
+        points[::7, 1] = 0.0  # on the boundary, where the reflected terms cancel
+        n = (0.6, 0.8)
+        calls = {
+            "fullplane_incident": lambda x: fullplane_incident(M, wave, OMEGA, x).as_array(),
+            "halfplane_freefield": lambda x: halfplane_freefield(M, wave, OMEGA, x).as_array(),
+            "traction": lambda x: freefield_traction(M, wave, OMEGA, x, n),
+            "traction_half": lambda x: freefield_traction(M, wave, OMEGA, x, n,
+                                                          half_plane=True),
+        }
+        for name, call in calls.items():
+            rows = call(points)
+            assert rows.shape == (len(points), 2), name
+            for row, p in zip(rows, points):
+                assert row.tobytes() == call(tuple(p)).tobytes(), (name, p)
+
+    def test_shapes(self):
+        x = (0.3, -0.4)
+        f = halfplane_freefield(M, WAVE2, OMEGA, x)
+        assert type(f.u3) is complex and type(f.w3) is complex
+        assert f.as_array().shape == (2,)
+        assert freefield_traction(M, WAVE2, OMEGA, x, (0.0, 1.0)).shape == (2,)
+        sigma, h = freefield_stress(M, WAVE2, OMEGA, [x, x, x], half_plane=True)
+        assert sigma.shape == h.shape == (3, 2)
+        assert halfplane_freefield(M, WAVE2, OMEGA, [x]).u3.shape == (1,)
