@@ -88,10 +88,14 @@ def cmd_verify(args) -> int:
     validate(m)
     omegas = _parse_omegas(args.omega)
     suite_names = tuple(s.strip() for s in args.suite.split(",") if s.strip())
+    if not suite_names:
+        raise ParseError("empty suite list")
     for name in suite_names:
         if name not in SUITES:
             raise ValidationError(f"unknown suite {name!r}; choose from {tuple(SUITES)}")
     seed = args.seed
+    if seed < 0:
+        raise ValidationError(f"--seed must be >= 0; got {seed}")
     checks = []
     for omega in omegas:
         rng = np.random.default_rng(seed)

@@ -21,6 +21,11 @@ matrix and the unit normal:
     sigma_3ij = c44 u*_3i,j + R3 w*_3i,j,   t_3i = sigma_3ij n_j,
     H_3ij     = R3 u*_3i,j + K2 w*_3i,j,    G_3i = H_3ij n_j.
 
+Each entry is a scalar product on (c, s) = (cos psi, sin psi): Q diag(f1, f2)
+Q^T has entries c^2 f1 + s^2 f2, cs (f1 - f2) (twice, so symmetric bit for
+bit) and s^2 f1 + c^2 f2, and the traction contracts the very stress entries
+fundamental_stress returns.
+
 The time convention is e^(-i omega t), implied by the outgoing H^(1) kernel;
 it is documented here and not configurable. The kernel is log-singular at
 r = 0: evaluation requires r > 1e-12 * max(|x|, |xi|), a floor relative to
@@ -37,7 +42,7 @@ import math
 import numpy as np
 
 from .errors import NonUnitNormal, SourceCoincidesWithField
-from .material import QcMaterial, decompose, wave_parameters
+from .material import QcMaterial, SpectralDecomposition, decompose, wave_parameters
 from .specfun import macdonald_k0_neg_i, macdonald_k1_neg_i
 
 __all__ = [
@@ -76,6 +81,12 @@ def check_normal(n) -> tuple[float, float]:
     return n1, n2
 
 
+def _modal(d: SpectralDecomposition, f1: complex, f2: complex) -> tuple[complex, complex, complex]:
+    """Entries (v11, v12, v22) of the symmetric Q diag(f1, f2) Q^T."""
+    c, s = d.cos_psi, d.sin_psi
+    return c * c * f1 + s * s * f2, c * s * (f1 - f2), s * s * f1 + c * c * f2
+
+
 def fundamental_displacement(m: QcMaterial, x, xi, omega: float) -> np.ndarray:
     """Displacement kernel v*(x, xi, omega) as a 2x2 complex array.
 
@@ -86,10 +97,22 @@ def fundamental_displacement(m: QcMaterial, x, xi, omega: float) -> np.ndarray:
     wp = wave_parameters(d, m.rho, omega)
     _, _, r = separation(x, xi)
     _check_r(r, x, xi)
-    f1 = macdonald_k0_neg_i(wp.k1 * r) / (TWO_PI * d.a1)
-    f2 = macdonald_k0_neg_i(wp.k2 * r) / (TWO_PI * d.a2)
-    q = d.rotation()
-    return q @ np.diag([f1, f2]) @ q.T
+    v11, v12, v22 = _modal(d, macdonald_k0_neg_i(wp.k1 * r) / (TWO_PI * d.a1),
+                           macdonald_k0_neg_i(wp.k2 * r) / (TWO_PI * d.a2))
+    return np.array([[v11, v12], [v12, v22]])
+
+
+def _gradient(m: QcMaterial, x, xi, omega: float):
+    """Entries of fundamental_gradient as nested tuples [field][load][j]."""
+    d = decompose(m)
+    wp = wave_parameters(d, m.rho, omega)
+    r1, r2, r = separation(x, xi)
+    _check_r(r, x, xi)
+    g11, g12, g22 = _modal(d, 1j * wp.k1 * macdonald_k1_neg_i(wp.k1 * r) / (TWO_PI * d.a1),
+                           1j * wp.k2 * macdonald_k1_neg_i(wp.k2 * r) / (TWO_PI * d.a2))
+    e1, e2 = r1 / r, r2 / r
+    return (((g11 * e1, g11 * e2), (g12 * e1, g12 * e2)),
+            ((g12 * e1, g12 * e2), (g22 * e1, g22 * e2)))
 
 
 def fundamental_gradient(m: QcMaterial, x, xi, omega: float) -> np.ndarray:
@@ -98,18 +121,14 @@ def fundamental_gradient(m: QcMaterial, x, xi, omega: float) -> np.ndarray:
     Index order is [field component, load component, derivative direction j];
     differentiation is with respect to x_j.
     """
-    d = decompose(m)
-    wp = wave_parameters(d, m.rho, omega)
-    r1, r2, r = separation(x, xi)
-    _check_r(r, x, xi)
-    g1 = 1j * wp.k1 * macdonald_k1_neg_i(wp.k1 * r) / (TWO_PI * d.a1)
-    g2 = 1j * wp.k2 * macdonald_k1_neg_i(wp.k2 * r) / (TWO_PI * d.a2)
-    q = d.rotation()
-    core = q @ np.diag([g1, g2]) @ q.T
-    grad = np.empty((2, 2, 2), dtype=complex)
-    grad[:, :, 0] = core * (r1 / r)
-    grad[:, :, 1] = core * (r2 / r)
-    return grad
+    return np.array(_gradient(m, x, xi, omega))
+
+
+def _stress(m: QcMaterial, x, xi, omega: float):
+    """Entries of fundamental_stress as nested lists [load i][direction j]."""
+    du, dw = _gradient(m, x, xi, omega)
+    return ([[m.c44 * u + m.R3 * w for u, w in zip(*uw)] for uw in zip(du, dw)],
+            [[m.R3 * u + m.K2 * w for u, w in zip(*uw)] for uw in zip(du, dw)])
 
 
 def fundamental_stress(m: QcMaterial, x, xi, omega: float) -> tuple[np.ndarray, np.ndarray]:
@@ -118,10 +137,8 @@ def fundamental_stress(m: QcMaterial, x, xi, omega: float) -> tuple[np.ndarray, 
     sigma[i, j] = c44 u*_3i,j + R3 w*_3i,j and H[i, j] = R3 u*_3i,j +
     K2 w*_3i,j, with i the load component and j the derivative direction.
     """
-    grad = fundamental_gradient(m, x, xi, omega)
-    sigma = m.c44 * grad[0] + m.R3 * grad[1]
-    h = m.R3 * grad[0] + m.K2 * grad[1]
-    return sigma, h
+    sigma, h = _stress(m, x, xi, omega)
+    return np.array(sigma), np.array(h)
 
 
 def fundamental_traction(m: QcMaterial, x, xi, omega: float, n) -> np.ndarray:
@@ -131,8 +148,6 @@ def fundamental_traction(m: QcMaterial, x, xi, omega: float, n) -> np.ndarray:
     tractions G_3i = H_3ij n_j; columns index the load component i.
     """
     n1, n2 = check_normal(n)
-    sigma, h = fundamental_stress(m, x, xi, omega)
-    t = np.empty((2, 2), dtype=complex)
-    t[0] = sigma[:, 0] * n1 + sigma[:, 1] * n2
-    t[1] = h[:, 0] * n1 + h[:, 1] * n2
-    return t
+    sigma, h = _stress(m, x, xi, omega)
+    return np.array([[s1 * n1 + s2 * n2 for s1, s2 in sigma],
+                     [h1 * n1 + h2 * n2 for h1, h2 in h]])

@@ -32,6 +32,7 @@ repr. Point-source kinds use the column set
 ``x1,x2,u3_re,u3_im,w3_re,w3_im`` (plus ``t3,G3``). Grid rows are emitted
 with x1 as the outer loop and x2 as the inner loop; evaluation order is
 deterministic, so identical scenarios produce byte-identical CSV files.
+A grid may hold at most ``MAX_POINTS`` = 10**7 points (n1 * n2).
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ from .material import QcMaterial, validate
 __all__ = [
     "SCHEMA_VERSION",
     "KINDS",
+    "MAX_POINTS",
     "Scenario",
     "load_material",
     "material_to_dict",
@@ -79,6 +81,9 @@ POINT_SOURCE_KINDS = ("fundamental", "green-half")
 HALF_PLANE_KINDS = ("green-half", "freefield-half")
 
 MATERIAL_KEYS = ("c44", "R3", "K2", "rho")
+# Largest grid (n1 * n2 points) validate_scenario accepts. sample_rows holds
+# the whole (N, C) float64 array, at most 18 columns: 10**7 points is 1.44 GB.
+MAX_POINTS = 10**7
 _CSV_CHUNK_ROWS = 512  # rows per formatted CSV block: bounds the Python floats alive
 
 
@@ -289,6 +294,9 @@ def validate_scenario(s: Scenario, m: QcMaterial) -> None:
         for axis, (lo, hi, count) in zip(("x1", "x2"), s.grid):
             if count < 1:
                 raise ValidationError(f"grid {axis} count must be >= 1; got {count}")
+        n_points = s.grid[0][2] * s.grid[1][2]
+        if n_points > MAX_POINTS:
+            raise ValidationError(f"grid has {n_points} points; at most {MAX_POINTS} are allowed")
     if "traction" in s.outputs and s.normal is None:
         raise ValidationError("traction output requested but no normal given")
     if s.normal is not None:

@@ -22,10 +22,11 @@ checks the domain and returns (J_nu(x), Y_nu(x)) for nu in {0, 1}:
 
   with chi_nu = x - (2 nu + 1) pi/4. P_nu and 8x*Q_nu are smooth in
   (4/x)^2 and come from frozen degree-29 Chebyshev tables (see
-  ``tools/generate_cylinder_tables.py``). cos chi_nu and sin chi_nu are
-  built as (cos x +- sin x)/sqrt(2) from libm's exactly reduced cos x and
-  sin x, so the phase does not lose x * eps; the amplitude over sqrt(2)
-  is (1/sqrt(pi)) / sqrt(x), as pi * x overflows for x > 5.7e307.
+  ``tools/generate_cylinder_tables.py``), summed by one Clenshaw loop
+  over (P, Q) coefficient pairs. cos chi_nu and sin chi_nu are built as
+  (cos x +- sin x)/sqrt(2) from libm's exactly reduced cos x and sin x, so
+  the phase does not lose x * eps; the amplitude over sqrt(2) is
+  (1/sqrt(pi)) / sqrt(x), as pi * x overflows for x > 5.7e307.
 
 Over the whole accepted range, up to the largest float, J_nu and Y_nu are
 within 1.5e-15 |H_nu^(1)(x)| of mpmath (20,000 arguments; worst near x = 4).
@@ -64,17 +65,11 @@ _XCUT = _cyltables.XCUT
 _SERIES_TOL = 1e-20
 # Smallest argument of Y, H and K: 0.5 * x in their log(x / 2) term stays normal.
 _X_MIN = sys.float_info.min
-# Chebyshev tables of P_nu and 8x Q_nu, indexed by nu.
-_P = (_cyltables.P0, _cyltables.P1)
-_QT = (_cyltables.QT0, _cyltables.QT1)
+# (P_nu, 8x Q_nu) Chebyshev pairs by nu: the constant, the rest highest degree first.
+_TABLES = ((_cyltables.P0, _cyltables.QT0), (_cyltables.P1, _cyltables.QT1))
+_PQ0 = tuple((p[0], q[0]) for p, q in _TABLES)
+_PQ = tuple(tuple(zip(p[:0:-1], q[:0:-1])) for p, q in _TABLES)
 _RSQRT_PI = 1.0 / math.sqrt(math.pi)
-
-
-def _clenshaw(coeffs, t: float) -> float:
-    b1 = b2 = 0.0
-    for a in coeffs[:0:-1]:
-        b1, b2 = 2.0 * t * b1 - b2 + a, b1
-    return t * b1 - b2 + coeffs[0]
 
 
 def _series(nu: int, x: float, with_y: bool) -> tuple[float, float]:
@@ -121,8 +116,13 @@ def _jy(name: str, nu: int, x: float, x_min: float = _X_MIN) -> tuple[float, flo
     if x <= _XCUT:
         return _series(nu, x, x_min > 0)
     t = 2.0 * (_XCUT / x) ** 2 - 1.0
-    p = _clenshaw(_P[nu], t)
-    q = _clenshaw(_QT[nu], t) / (8.0 * x)
+    tt = 2.0 * t
+    p1 = p2 = q1 = q2 = 0.0  # Clenshaw recurrences of P_nu and 8x Q_nu, one pass
+    for a, b in _PQ[nu]:
+        p1, p2 = tt * p1 - p2 + a, p1
+        q1, q2 = tt * q1 - q2 + b, q1
+    p0, q0 = _PQ0[nu]
+    p, q = t * p1 - p2 + p0, (t * q1 - q2 + q0) / (8.0 * x)
     # sqrt(2) (cos, sin) of chi_0 = x - pi/4, then of chi_1 = chi_0 - pi/2
     cx, sx = math.cos(x), math.sin(x)
     c, s = (cx + sx, sx - cx) if nu == 0 else (sx - cx, -cx - sx)

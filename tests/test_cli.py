@@ -247,6 +247,14 @@ class TestVerify:
         # rho omega^2 v overflows its norm from omega ~ 1e99 unless divided out
         assert cli.main(["verify", "--material", material_file, "--omega", "1e99,1e200"]) == 0
 
+    def test_negative_seed_is_validation_error(self, material_file, capsys):
+        assert cli.main(["verify", "--material", material_file, "--seed", "-1"]) == 2
+        assert "--seed" in capsys.readouterr().err
+
+    def test_empty_suite_list_is_parse_error(self, material_file, capsys):
+        assert cli.main(["verify", "--material", material_file, "--suite", ","]) == 2
+        assert "suite" in capsys.readouterr().err
+
     def test_seed_recorded_and_deterministic(self, material_file, tmp_path):
         paths = [str(tmp_path / f"r{i}.json") for i in range(2)]
         for p in paths:
@@ -369,6 +377,18 @@ class TestInputBoundary:
         assert not out.exists()
         assert "c44" in capsys.readouterr().err.replace(str(path), "")
         assert cli.main(["verify", "--material", str(path)]) == 2
+
+    @pytest.mark.parametrize("n1, n2", [(10**20, 2), (11, 909091)], ids=["1e20", "max-plus-one"])
+    def test_grid_beyond_max_points(self, tmp_path, material_file, capsys, n1, n2):
+        # rejected before any point array is allocated; 11 * 909091 = 10**7 + 1
+        doc = _edit(freefield_scenario(), points=None,
+                    grid={"x1": [-1.0, 1.0, n1], "x2": [-1.0, 0.0, n2]})
+        out = tmp_path / "field.csv"
+        assert cli.main(["sample", "--material", material_file,
+                         "--scenario", write_scenario(tmp_path, doc), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "grid" in err and str(n1 * n2) in err and "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["verify", "decompose"])
     def test_infinite_omega_argument(self, material_file, capsys, command):

@@ -15,6 +15,7 @@ from qcwaves import (
     fundamental_stress,
     fundamental_traction,
     macdonald_k0_neg_i,
+    macdonald_k1_neg_i,
     pde_residual,
     wave_parameters,
 )
@@ -161,6 +162,69 @@ class TestTraction:
     def test_normal_tolerance(self):
         n = (math.cos(0.3), math.sin(0.3))
         fundamental_traction(M, (1.0, 1.0), XI, OMEGA, n)
+
+
+def algebra_cases(count=200, seed=41):
+    """(material, omega, x, xi, theta) with c44/K2 up to 1e6 either way, R3 = 0 or
+    coupling up to 0.95 of its limit, and k2 r from 0.1 to 300, so both
+    cylinder-function branches are sampled."""
+    rng = np.random.default_rng(seed)
+    for case in range(count):
+        c44 = 10.0 ** rng.uniform(0.0, 10.0)
+        k2 = c44 * 10.0 ** rng.uniform(-6.0, 6.0)
+        if case % 4 == 0:  # R3 = 0: psi = 0 (c44 >= K2) and pi/2 (c44 < K2) alternate
+            hi, lo = max(c44, k2), min(c44, k2)
+            c44, k2 = (hi, lo) if case % 8 == 0 else (lo, hi)
+            r3 = 0.0
+        else:
+            r3 = rng.uniform(0.0, 0.95) * math.sqrt(c44 * k2)
+        m = QcMaterial(c44=c44, R3=r3, K2=k2, rho=10.0 ** rng.uniform(0.0, 4.0))
+        omega = 10.0 ** rng.uniform(-1.0, 6.0)
+        r = 10.0 ** rng.uniform(-1.0, 2.5) / wave_parameters(decompose(m), m.rho, omega).k2
+        theta = rng.uniform(0.0, 2.0 * math.pi)
+        xi = rng.uniform(-1.0, 1.0, size=2) * r
+        yield m, omega, xi + r * np.array([math.cos(theta), math.sin(theta)]), xi, theta
+
+
+class TestScalarAlgebra:
+    """The scalar modal form against the matrix product it replaces."""
+
+    def test_cases_reach_both_branches(self):
+        kr = []
+        for m, omega, x, xi, _ in algebra_cases():
+            wp = wave_parameters(decompose(m), m.rho, omega)
+            kr += [wp.k1 * math.dist(x, xi), wp.k2 * math.dist(x, xi)]
+        assert sum(v <= 4.0 for v in kr) > 100 and sum(v > 4.0 for v in kr) > 100
+
+    def test_matches_rotation_matrix_product(self):
+        for m, omega, x, xi, _ in algebra_cases():
+            d = decompose(m)
+            wp = wave_parameters(d, m.rho, omega)
+            q = d.rotation()
+            r = math.dist(x, xi)
+            f = [macdonald_k0_neg_i(k * r) / (2.0 * math.pi * a)
+                 for k, a in ((wp.k1, d.a1), (wp.k2, d.a2))]
+            g = [1j * k * macdonald_k1_neg_i(k * r) / (2.0 * math.pi * a)
+                 for k, a in ((wp.k1, d.a1), (wp.k2, d.a2))]
+            v_ref = q @ np.diag(f) @ q.T
+            core = q @ np.diag(g) @ q.T
+            grad_ref = np.stack([core * ((x[0] - xi[0]) / r), core * ((x[1] - xi[1]) / r)],
+                                axis=-1)
+            v = fundamental_displacement(m, x, xi, omega)
+            grad = fundamental_gradient(m, x, xi, omega)
+            assert v.shape == (2, 2) and grad.shape == (2, 2, 2)
+            assert v.dtype == grad.dtype == np.complex128
+            assert v[0, 1] == v[1, 0]
+            assert np.max(np.abs(v - v_ref)) <= 2e-15 * np.max(np.abs(v_ref))
+            assert np.max(np.abs(grad - grad_ref)) <= 2e-15 * np.max(np.abs(grad_ref))
+
+    def test_traction_is_the_stress_contraction(self):
+        for m, omega, x, xi, theta in algebra_cases():
+            n = (math.cos(2.0 * theta + 1.0), math.sin(2.0 * theta + 1.0))
+            sigma, h_stress = fundamental_stress(m, x, xi, omega)
+            t = fundamental_traction(m, x, xi, omega, n)
+            assert np.all(t[0] == sigma[:, 0] * n[0] + sigma[:, 1] * n[1])
+            assert np.all(t[1] == h_stress[:, 0] * n[0] + h_stress[:, 1] * n[1])
 
 
 def test_pde_residual_away_from_source():

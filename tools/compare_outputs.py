@@ -1,0 +1,130 @@
+"""Compare the outputs of two qcwaves source trees on fixed inputs.
+
+Run from anywhere, with the ``src/`` directories of the two trees:
+
+    python tools/compare_outputs.py PARENT_SRC CHANGE_SRC
+
+Each tree runs ``qcwaves sample`` and ``qcwaves verify`` as child processes,
+with its ``src/`` on PYTHONPATH, on inputs written to a temporary directory:
+
+* ``demos/scenario_fundamental.json`` on ``demos/material.json``;
+* a 40x40 ``green-half`` grid with displacement and traction;
+* a 40x40 ``freefield-half`` grid with displacement and traction;
+* ``verify`` on the demo material at 1e4 and 1e6 rad/s.
+
+For every output file (CSV, sidecar, report) it prints whether the bytes
+are identical. For every CSV it also prints the largest distance in units
+in the last place (ulp) and the largest difference divided by the largest
+magnitude of its column in the first tree. The exit code is 0 when every
+output is byte-identical and 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+OMEGA = 2.0 * math.pi * 1e6
+GRID = {"x1": [-0.004, 0.004, 40], "x2": [-0.006, 0.0, 40]}
+SCENARIOS = {
+    "green": {"schema_version": 1, "kind": "green-half", "omega": OMEGA,
+              "source": [0.0003, -0.0021], "grid": GRID,
+              "outputs": ["displacement", "traction"], "normal": [0.0, 1.0]},
+    "freefield": {"schema_version": 1, "kind": "freefield-half", "omega": OMEGA,
+                  "wave": {"mode": "S2", "amplitude": [1.0, 0.0], "phi": 0.7},
+                  "grid": GRID, "outputs": ["displacement", "traction"],
+                  "normal": [0.0, 1.0]},
+}
+SAMPLES = ("fundamental", *SCENARIOS)  # fundamental: demos/scenario_fundamental.json
+VERIFY_OMEGAS = "1e4,1e6"
+
+
+def write_inputs(where: Path) -> None:
+    shutil.copy(DEMOS / "material.json", where / "material.json")
+    shutil.copy(DEMOS / "scenario_fundamental.json", where / "fundamental.json")
+    for name, doc in SCENARIOS.items():
+        (where / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
+
+
+def run_tree(src: Path, inputs: Path, out: Path) -> list[str]:
+    """Run every command with ``src`` on PYTHONPATH; return the output file names."""
+    out.mkdir()
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    material = str(inputs / "material.json")
+    commands = [["sample", "--material", material, "--scenario", str(inputs / f"{name}.json"),
+                 "--out", str(out / f"{name}.csv")] for name in SAMPLES]
+    commands.append(["verify", "--material", material, "--omega", VERIFY_OMEGAS,
+                     "--report", str(out / "verify.json")])
+    for args in commands:
+        subprocess.run([sys.executable, "-m", "qcwaves.cli", *args], env=env, check=False,
+                       stdout=subprocess.DEVNULL)
+    return ([f"{name}.csv" for name in SAMPLES] + [f"{name}.csv.meta.json" for name in SAMPLES]
+            + ["verify.json"])
+
+
+def ordered_bits(values: np.ndarray) -> np.ndarray:
+    """float64 bits as uint64 in the order of the values; +0 and -0 map alike."""
+    bits = values.view(np.uint64)
+    magnitude = bits & np.uint64(0x7FFF_FFFF_FFFF_FFFF)
+    middle = np.uint64(1 << 63)
+    return np.where(bits >> np.uint64(63) == 1, middle - magnitude, middle + magnitude)
+
+
+def csv_distance(a_path: Path, b_path: Path) -> str:
+    """Largest ulp distance and largest difference over its column's largest magnitude."""
+    a, b = (np.loadtxt(p, delimiter=",", skiprows=1, ndmin=2) for p in (a_path, b_path))
+    header_a, header_b = (p.read_text().split("\n", 1)[0] for p in (a_path, b_path))
+    if a.shape != b.shape or header_a != header_b:
+        return "different columns or row count"
+    oa, ob = ordered_bits(a), ordered_bits(b)
+    ulps = int((np.maximum(oa, ob) - np.minimum(oa, ob)).max())
+    scale = np.abs(a).max(axis=0)
+    diff = np.abs(a - b).max(axis=0)
+    rel = max((d / s for d, s in zip(diff, scale) if s > 0), default=0.0)
+    return f"max ulp {ulps}, max diff / column max {rel:.3g}"
+
+
+def compare(a_src: Path, b_src: Path) -> bool:
+    """Print one line per output; True when every output is byte-identical."""
+    with tempfile.TemporaryDirectory(prefix="qcwaves-compare-") as tmp:
+        tmp = Path(tmp)
+        inputs = tmp / "inputs"
+        inputs.mkdir()
+        write_inputs(inputs)
+        names = run_tree(a_src, inputs, tmp / "a")
+        run_tree(b_src, inputs, tmp / "b")
+        same = True
+        for name in names:
+            a, b = tmp / "a" / name, tmp / "b" / name
+            missing = [side for side, p in (("first", a), ("second", b)) if not p.exists()]
+            if missing:
+                line = f"missing in the {' and '.join(missing)} tree"
+                same = False
+            else:
+                identical = a.read_bytes() == b.read_bytes()
+                same = same and identical
+                line = "identical" if identical else "differs"
+                if name.endswith(".csv"):
+                    line += f"; {csv_distance(a, b)}"
+            print(f"{name:28} {line}")
+        return same
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    return 0 if compare(Path(argv[0]).resolve(), Path(argv[1]).resolve()) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
