@@ -11,8 +11,8 @@ Subcommands:
   [--seed N] [--report r.json]`` runs the verification suites and writes a
   JSON report.
 
-Exit codes: 0 success, 2 validation/parse error, 3 evaluation error,
-4 verification failure.
+Exit codes: 0 success, 2 validation/parse error or an output file that
+cannot be written, 3 evaluation error, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -167,6 +167,9 @@ def main(argv=None) -> int:
     except QcError as exc:  # EvaluationError and every other library error
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EVALUATION
+    except OSError as exc:  # inputs are read as ParseError: only an output can fail here
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -39,8 +39,9 @@ def check_field_point(x) -> None:
     """Raise PointOutsideHalfPlane naming the first point of x ((2,) or (N, 2)) with x2 > 0."""
     pts = np.asarray(x, dtype=float).reshape(-1, 2)
     outside = pts[:, 1] > 0.0
-    if outside.any():
-        x1, x2 = pts[outside.argmax()].tolist()
+    first = outside.argmax()  # the first True, or 0 when none is
+    if outside[first]:
+        x1, x2 = pts[first].tolist()
         raise PointOutsideHalfPlane(f"field point ({x1}, {x2}) must have x2 <= 0")
 
 

@@ -32,7 +32,8 @@ r = 0: evaluation requires r > 1e-12 * max(|x|, |xi|), a floor relative to
 the coordinates (so it holds at any length scale, and r = 0 is always
 rejected), below which SourceCoincidesWithField is raised (no regularized
 self-term is provided).
-All functions are pure and safe to call concurrently.
+All functions are pure and safe to call concurrently: the memos of
+decompose and wave_parameters only ever return what a fresh call would.
 """
 
 from __future__ import annotations
@@ -99,20 +100,18 @@ def fundamental_displacement(m: QcMaterial, x, xi, omega: float) -> np.ndarray:
     _check_r(r, x, xi)
     v11, v12, v22 = _modal(d, macdonald_k0_neg_i(wp.k1 * r) / (TWO_PI * d.a1),
                            macdonald_k0_neg_i(wp.k2 * r) / (TWO_PI * d.a2))
-    return np.array([[v11, v12], [v12, v22]])
+    return np.array([v11, v12, v12, v22], dtype=complex).reshape(2, 2)
 
 
 def _gradient(m: QcMaterial, x, xi, omega: float):
-    """Entries of fundamental_gradient as nested tuples [field][load][j]."""
+    """(g11, g12, g22, e1, e2): Q diag(f1', f2') Q^T entries and (r1, r2) / r."""
     d = decompose(m)
     wp = wave_parameters(d, m.rho, omega)
     r1, r2, r = separation(x, xi)
     _check_r(r, x, xi)
     g11, g12, g22 = _modal(d, 1j * wp.k1 * macdonald_k1_neg_i(wp.k1 * r) / (TWO_PI * d.a1),
                            1j * wp.k2 * macdonald_k1_neg_i(wp.k2 * r) / (TWO_PI * d.a2))
-    e1, e2 = r1 / r, r2 / r
-    return (((g11 * e1, g11 * e2), (g12 * e1, g12 * e2)),
-            ((g12 * e1, g12 * e2), (g22 * e1, g22 * e2)))
+    return g11, g12, g22, r1 / r, r2 / r
 
 
 def fundamental_gradient(m: QcMaterial, x, xi, omega: float) -> np.ndarray:
@@ -121,14 +120,19 @@ def fundamental_gradient(m: QcMaterial, x, xi, omega: float) -> np.ndarray:
     Index order is [field component, load component, derivative direction j];
     differentiation is with respect to x_j.
     """
-    return np.array(_gradient(m, x, xi, omega))
+    g11, g12, g22, e1, e2 = _gradient(m, x, xi, omega)
+    return np.array((((g11 * e1, g11 * e2), (g12 * e1, g12 * e2)),
+                     ((g12 * e1, g12 * e2), (g22 * e1, g22 * e2))))
 
 
 def _stress(m: QcMaterial, x, xi, omega: float):
-    """Entries of fundamental_stress as nested lists [load i][direction j]."""
-    du, dw = _gradient(m, x, xi, omega)
-    return ([[m.c44 * u + m.R3 * w for u, w in zip(*uw)] for uw in zip(du, dw)],
-            [[m.R3 * u + m.K2 * w for u, w in zip(*uw)] for uw in zip(du, dw)])
+    """Entries (s11, s12, s21, s22, h11, h12, h21, h22) of fundamental_stress, [load][direction]."""
+    g11, g12, g22, e1, e2 = _gradient(m, x, xi, omega)
+    # u*_3i,j for loads i = 1, 2; w*_31,j is u*_32,j by symmetry
+    u11, u12, u21, u22, w21, w22 = g11 * e1, g11 * e2, g12 * e1, g12 * e2, g22 * e1, g22 * e2
+    c44, R3, K2 = m.c44, m.R3, m.K2
+    return (c44 * u11 + R3 * u21, c44 * u12 + R3 * u22, c44 * u21 + R3 * w21, c44 * u22 + R3 * w22,
+            R3 * u11 + K2 * u21, R3 * u12 + K2 * u22, R3 * u21 + K2 * w21, R3 * u22 + K2 * w22)
 
 
 def fundamental_stress(m: QcMaterial, x, xi, omega: float) -> tuple[np.ndarray, np.ndarray]:
@@ -137,8 +141,8 @@ def fundamental_stress(m: QcMaterial, x, xi, omega: float) -> tuple[np.ndarray, 
     sigma[i, j] = c44 u*_3i,j + R3 w*_3i,j and H[i, j] = R3 u*_3i,j +
     K2 w*_3i,j, with i the load component and j the derivative direction.
     """
-    sigma, h = _stress(m, x, xi, omega)
-    return np.array(sigma), np.array(h)
+    s11, s12, s21, s22, h11, h12, h21, h22 = _stress(m, x, xi, omega)
+    return np.array([[s11, s12], [s21, s22]]), np.array([[h11, h12], [h21, h22]])
 
 
 def fundamental_traction(m: QcMaterial, x, xi, omega: float, n) -> np.ndarray:
@@ -148,6 +152,6 @@ def fundamental_traction(m: QcMaterial, x, xi, omega: float, n) -> np.ndarray:
     tractions G_3i = H_3ij n_j; columns index the load component i.
     """
     n1, n2 = check_normal(n)
-    sigma, h = _stress(m, x, xi, omega)
-    return np.array([[s1 * n1 + s2 * n2 for s1, s2 in sigma],
-                     [h1 * n1 + h2 * n2 for h1, h2 in h]])
+    s11, s12, s21, s22, h11, h12, h21, h22 = _stress(m, x, xi, omega)
+    return np.array([s11 * n1 + s12 * n2, s21 * n1 + s22 * n2,
+                     h11 * n1 + h12 * n2, h21 * n1 + h22 * n2], dtype=complex).reshape(2, 2)

@@ -11,12 +11,17 @@ independent Helmholtz problems with effective shear moduli a1 >= a2 (the
 eigenvalues of C), which is what every other module in this package builds
 on. Wave numbers follow as k_i = omega * sqrt(rho / a_i) and phase speeds as
 c_i = sqrt(a_i / rho), so mode 1 is the fast wave and mode 2 the slow one.
+
+decompose and wave_parameters each memoize their last successful call in one
+tuple, replaced whole: a call with the very same objects returns its result,
+any other validates and computes afresh, so no result depends on the memos.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,6 +42,8 @@ __all__ = [
     "decompose",
     "wave_parameters",
 ]
+
+_last_decomposition, _last_waves = (None, None), (None, None, None, None)
 
 
 @dataclass(frozen=True)
@@ -78,11 +85,11 @@ class SpectralDecomposition:
     a2: float
     psi: float
 
-    @property
+    @cached_property  # computed once per object: psi never changes
     def cos_psi(self) -> float:
         return math.cos(self.psi)
 
-    @property
+    @cached_property
     def sin_psi(self) -> float:
         return math.sin(self.psi)
 
@@ -137,6 +144,9 @@ def decompose(m: QcMaterial) -> SpectralDecomposition:
     eigenvector formula degenerates (0/0) and psi is assigned its
     continuity limit: 0 for c44 >= K2, pi/2 for c44 < K2.
     """
+    global _last_decomposition
+    if (memo := _last_decomposition)[0] is m:
+        return memo[1]
     validate(m)
     trace = m.c44 + m.K2
     det = m.c44 * m.K2 - m.R3 * m.R3
@@ -158,11 +168,15 @@ def decompose(m: QcMaterial) -> SpectralDecomposition:
         else:
             excess = 0.5 * ((m.K2 - m.c44) + disc)
         psi = math.atan2(excess, m.R3)
-    return SpectralDecomposition(a1=a1, a2=a2, psi=psi)
+    _last_decomposition = memo = (m, SpectralDecomposition(a1=a1, a2=a2, psi=psi))
+    return memo[1]
 
 
 def wave_parameters(d: SpectralDecomposition, rho: float, omega: float) -> WaveParameters:
     """Wavenumbers k_i = omega*sqrt(rho/a_i) and speeds c_i = sqrt(a_i/rho)."""
+    global _last_waves
+    if (memo := _last_waves)[0] is d and memo[1] is rho and memo[2] is omega:
+        return memo[3]
     if not (omega > 0.0):
         raise NonPositiveFrequency(f"need omega > 0; got {omega}")
     if not (rho > 0.0):
@@ -173,4 +187,5 @@ def wave_parameters(d: SpectralDecomposition, rho: float, omega: float) -> WaveP
         raise DomainError(f"wavenumbers k1 = {k1:g}, k2 = {k2:g} leave the float range")
     c1 = math.sqrt(d.a1 / rho)
     c2 = math.sqrt(d.a2 / rho)
-    return WaveParameters(omega=omega, k1=k1, k2=k2, c1=c1, c2=c2)
+    _last_waves = memo = (d, rho, omega, WaveParameters(omega=omega, k1=k1, k2=k2, c1=c1, c2=c2))
+    return memo[3]

@@ -37,7 +37,7 @@ against an independent series oracle.
 
 Arguments must be finite, x >= 0 for J and x >= 2.2e-308 (a normal float)
 for Y, H and K; anything else raises :class:`~qcwaves.errors.DomainError`
-naming the function. All functions are pure and thread-safe.
+naming the function. The functions keep no state: pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -161,10 +161,12 @@ def hankel1_1(x: float) -> complex:
 
 
 def macdonald_k0_neg_i(x: float) -> complex:
-    """K0(-ix) = (i pi / 2) H0^(1)(x) for x > 0."""
-    return 0.5j * math.pi * complex(*_jy("macdonald_k0_neg_i", 0, x))
+    """K0(-ix) = (i pi / 2) H0^(1)(x) = (pi/2) (-Y0(x) + i J0(x)) for x > 0."""
+    j, y = _jy("macdonald_k0_neg_i", 0, x)
+    return complex(-0.5 * math.pi * y, 0.5 * math.pi * j)
 
 
 def macdonald_k1_neg_i(x: float) -> complex:
     """K1(-ix) = -(pi / 2) H1^(1)(x) for x > 0."""
-    return -0.5 * math.pi * complex(*_jy("macdonald_k1_neg_i", 1, x))
+    j, y = _jy("macdonald_k1_neg_i", 1, x)
+    return complex(-0.5 * math.pi * j, -0.5 * math.pi * y)

@@ -406,6 +406,26 @@ class TestInputBoundary:
                          "--scenario", write_scenario(tmp_path, doc), "--out", str(out)]) == 3
         assert not out.exists()
 
+    @pytest.mark.parametrize("where", ["missing-dir", "directory", "sidecar-directory"])
+    def test_unwritable_sample_output_is_validation_error(self, tmp_path, material_file,
+                                                          capsys, where):
+        out = tmp_path / "missing" / "field.csv" if where == "missing-dir" else tmp_path / "out"
+        if where == "directory":
+            out.mkdir()
+        if where == "sidecar-directory":
+            (tmp_path / "out.meta.json").mkdir()
+        assert cli.main(["sample", "--material", material_file, "--scenario",
+                         write_scenario(tmp_path, fundamental_scenario(3, 3)),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write ") and "Traceback" not in err
+
+    def test_unwritable_verify_report_is_validation_error(self, tmp_path, material_file, capsys):
+        report = tmp_path / "missing" / "report.json"
+        assert cli.main(["verify", "--material", material_file, "--suite", "reciprocity",
+                         "--report", str(report)]) == 2
+        assert f"error: cannot write {report}: " in capsys.readouterr().err
+
     def test_overflowing_phase_names_its_point(self, tmp_path, material_file, capsys):
         # k * t leaves the float range at the third point only
         doc = _edit(freefield_scenario(), kind="freefield-full", omega=1e10,

@@ -2,7 +2,9 @@
 
 import cmath
 import math
+import sys
 
+import numpy as np
 import pytest
 
 from qcwaves import (
@@ -182,6 +184,27 @@ class TestMacdonald:
             macdonald_k0_neg_i(0.0)
         with pytest.raises(DomainError):
             macdonald_k1_neg_i(-2.0)
+
+
+def test_macdonald_wrappers_keep_the_hankel_products_bit_for_bit():
+    """K0 and K1 equal the Hankel-based formulas part by part, with ==.
+
+    The wrappers form (pi/2) (-Y0, J0) and -(pi/2) (J1, Y1) directly, the
+    same float products the complex multiplications by i pi/2 and -pi/2 make.
+    Those multiplications also add 0 * J or 0 * Y to each part, so the sign of
+    a zero part is the only difference there can be, and == does not see it.
+    """
+    rng = np.random.default_rng(2024)
+    tiny = math.log10(sys.float_info.min)
+    xs = np.concatenate([10.0 ** rng.uniform(tiny, 15.0, 4000),
+                         10.0 ** rng.uniform(-2.0, 3.0, 8000),
+                         [sys.float_info.min, 4.0, math.nextafter(4.0, 5.0), 1e15]]).tolist()
+    assert sum(x <= 4.0 for x in xs) > 3000 and sum(x > 4.0 for x in xs) > 3000
+    for x in xs:
+        k0, k1 = macdonald_k0_neg_i(x), macdonald_k1_neg_i(x)
+        h0, h1 = 0.5j * math.pi * hankel1_0(x), -0.5 * math.pi * hankel1_1(x)
+        assert k0.real == h0.real and k0.imag == h0.imag, x
+        assert k1.real == h1.real and k1.imag == h1.imag, x
 
 
 def test_outputs_finite_on_wide_range():

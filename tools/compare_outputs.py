@@ -10,7 +10,9 @@ with its ``src/`` on PYTHONPATH, on inputs written to a temporary directory:
 * ``demos/scenario_fundamental.json`` on ``demos/material.json``;
 * a 40x40 ``green-half`` grid with displacement and traction;
 * a 40x40 ``freefield-half`` grid with displacement and traction;
-* ``verify`` on the demo material at 1e4 and 1e6 rad/s.
+* ``verify`` on the demo material at 1e4 and 1e6 rad/s;
+* ``verify`` on an R3 = 0 copy of the demo material at the same frequencies,
+  where the decoupling suite runs instead of being skipped.
 
 For every output file (CSV, sidecar, report) it prints whether the bytes
 are identical. For every CSV it also prints the largest distance in units
@@ -46,10 +48,13 @@ SCENARIOS = {
 }
 SAMPLES = ("fundamental", *SCENARIOS)  # fundamental: demos/scenario_fundamental.json
 VERIFY_OMEGAS = "1e4,1e6"
+VERIFY_REPORTS = {"verify.json": "material.json", "verify-r3zero.json": "material_r3zero.json"}
 
 
 def write_inputs(where: Path) -> None:
     shutil.copy(DEMOS / "material.json", where / "material.json")
+    decoupled = {**json.loads((DEMOS / "material.json").read_text(encoding="utf-8")), "R3": 0.0}
+    (where / "material_r3zero.json").write_text(json.dumps(decoupled), encoding="utf-8")
     shutil.copy(DEMOS / "scenario_fundamental.json", where / "fundamental.json")
     for name, doc in SCENARIOS.items():
         (where / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
@@ -62,13 +67,14 @@ def run_tree(src: Path, inputs: Path, out: Path) -> list[str]:
     material = str(inputs / "material.json")
     commands = [["sample", "--material", material, "--scenario", str(inputs / f"{name}.json"),
                  "--out", str(out / f"{name}.csv")] for name in SAMPLES]
-    commands.append(["verify", "--material", material, "--omega", VERIFY_OMEGAS,
-                     "--report", str(out / "verify.json")])
+    for report, material_file in VERIFY_REPORTS.items():
+        commands.append(["verify", "--material", str(inputs / material_file),
+                         "--omega", VERIFY_OMEGAS, "--report", str(out / report)])
     for args in commands:
         subprocess.run([sys.executable, "-m", "qcwaves.cli", *args], env=env, check=False,
                        stdout=subprocess.DEVNULL)
     return ([f"{name}.csv" for name in SAMPLES] + [f"{name}.csv.meta.json" for name in SAMPLES]
-            + ["verify.json"])
+            + list(VERIFY_REPORTS))
 
 
 def ordered_bits(values: np.ndarray) -> np.ndarray:
