@@ -12,14 +12,17 @@ Subcommands:
   JSON report.
 
 Exit codes: 0 success, 2 validation/parse error or an output file that
-cannot be written, 3 evaluation error, 4 verification failure.
+cannot be written, 3 evaluation error, 4 verification failure. Output paths
+are checked before any input is read, so an unwritable one costs no work.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -50,6 +53,27 @@ def _parse_omegas(text: str) -> list[float]:
     return omegas
 
 
+def _check_writable(*paths: str | None) -> None:
+    """Raise, before any work, the OSError that opening a path for writing would.
+
+    No file is created. main() reports it as ``cannot write`` (exit 2), as it
+    does an open that still fails later.
+    """
+    for path in (p for p in paths if p is not None):
+        parent = os.path.dirname(os.path.abspath(path))
+        if not path:
+            code = errno.ENOENT
+        elif os.path.isdir(path):
+            code = errno.EISDIR
+        elif not os.path.isdir(parent):
+            code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+        elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+            code = errno.EACCES
+        else:
+            continue
+        raise OSError(code, os.strerror(code), path)
+
+
 def cmd_decompose(args) -> int:
     m = load_material(args.material)
     validate(m)
@@ -73,9 +97,10 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    sidecar = None if args.no_sidecar else args.out + ".meta.json"
+    _check_writable(args.out, sidecar)
     m = load_material(args.material)
     s = load_scenario(args.scenario)
-    sidecar = None if args.no_sidecar else args.out + ".meta.json"
     rows = run_scenario(s, m, args.out, sidecar)
     print(f"wrote {rows} rows to {args.out}")
     if sidecar:
@@ -84,6 +109,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_writable(args.report or None)  # an empty --report writes no report
     m = load_material(args.material)
     validate(m)
     omegas = _parse_omegas(args.omega)

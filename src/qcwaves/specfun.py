@@ -3,33 +3,32 @@ imaginary-argument Macdonald values K0(-ix), K1(-ix), implemented in-repo so
 the package is self-contained and the oracle tests test something.
 
 All eight functions are one line over one core, ``_jy(name, nu, x)``, which
-checks the domain and returns (J_nu(x), Y_nu(x)) for nu in {0, 1}:
+checks the domain and returns (J_nu(x), Y_nu(x)) for nu in {0, 1}. Each
+argument costs one Clenshaw pass (DLMF 3.11(ii)) over a frozen table of two
+Chebyshev series, of fixed length per branch (``tools/generate_cylinder_tables.py``
+builds the tables with mpmath and documents them):
 
-* ``0 <= x <= 4``: the ascending series (DLMF 10.2.2, 10.8.1) with
-  psi(k+1) = H_k - gamma, gamma kept outside the sum, z = x^2/4 and
-  c_k = (-z)^k / (k! (k+nu)!):
+* ``0 <= x <= 4``: the entire functions A_nu and B_nu of z = x^2/4, the sums
+  of the ascending series (DLMF 10.2.2, 10.8.1), on t = z/2 - 1:
 
-      J_nu = (x/2)^nu sum_k c_k
-      Y_nu = (2/pi) ((ln(x/2) + gamma) J_nu - nu/x
-                     - (1/2) (x/2)^nu sum_k (H_k + H_(k+nu)) c_k)
+      J0 = A_0,  Y0 = (2/pi) ((ln(x/2) + gamma) A_0 + B_0)
+      J1 = (x/2) A_1,  Y1 = (2/pi) ((ln(x/2) + gamma) J1 - 1/x + (x/2) B_1)
 
-  Both sums run in one loop and are added with ``math.fsum``; the largest
-  term at x = 4 is O(2), so cancellation costs at most a few ulp.
 * ``x > 4``: the phase-amplitude form (DLMF 10.17)
 
       J_nu(x) = sqrt(2/(pi x)) * (P_nu cos(chi_nu) - Q_nu sin(chi_nu))
       Y_nu(x) = sqrt(2/(pi x)) * (P_nu sin(chi_nu) + Q_nu cos(chi_nu))
 
-  with chi_nu = x - (2 nu + 1) pi/4. P_nu and 8x*Q_nu are smooth in
-  (4/x)^2 and come from frozen degree-29 Chebyshev tables (see
-  ``tools/generate_cylinder_tables.py``), summed by one Clenshaw loop
-  over (P, Q) coefficient pairs. cos chi_nu and sin chi_nu are built as
-  (cos x +- sin x)/sqrt(2) from libm's exactly reduced cos x and sin x, so
-  the phase does not lose x * eps; the amplitude over sqrt(2) is
-  (1/sqrt(pi)) / sqrt(x), as pi * x overflows for x > 5.7e307.
+  with chi_nu = x - (2 nu + 1) pi/4. P_nu and 8x*Q_nu are tabulated on the
+  pieces [4, 8], (8, 16] and (16, inf), each in u = (lo/x)^2 mapped onto
+  [-1, 1]. cos chi_nu and sin chi_nu are built as (cos x +- sin x)/sqrt(2)
+  from libm's exactly reduced cos x and sin x, so the phase does not lose
+  x * eps; the amplitude over sqrt(2) is (1/sqrt(pi)) / sqrt(x), as pi * x
+  overflows for x > 5.7e307.
 
 Over the whole accepted range, up to the largest float, J_nu and Y_nu are
-within 1.5e-15 |H_nu^(1)(x)| of mpmath (20,000 arguments; worst near x = 4).
+within 1e-15 |H_nu^(1)(x)| of mpmath (worst seen 6.1e-16 |H_nu^(1)(x)| on
+12,000 arguments; tests/test_specfun_tables.py checks every branch and piece).
 
 The Macdonald values use K_nu(-ix) = (pi/2) i^(nu+1) H_nu^(1)(x): K0(-ix) =
 (i pi/2) H0^(1)(x) and K1(-ix) = -(pi/2) H1^(1)(x), a constant the tests pin
@@ -44,8 +43,9 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left
 
-from . import _cyltables
+from . import _cyltables as _T
 from .errors import DomainError
 
 __all__ = [
@@ -61,68 +61,62 @@ __all__ = [
 
 EULER_GAMMA = 0.57721566490153286
 
-_XCUT = _cyltables.XCUT
-_SERIES_TOL = 1e-20
+_XCUT = _T.XCUT
 # Smallest argument of Y, H and K: 0.5 * x in their log(x / 2) term stays normal.
 _X_MIN = sys.float_info.min
-# (P_nu, 8x Q_nu) Chebyshev pairs by nu: the constant, the rest highest degree first.
-_TABLES = ((_cyltables.P0, _cyltables.QT0), (_cyltables.P1, _cyltables.QT1))
-_PQ0 = tuple((p[0], q[0]) for p, q in _TABLES)
-_PQ = tuple(tuple(zip(p[:0:-1], q[:0:-1])) for p, q in _TABLES)
+_TWO_OVER_PI = 2.0 / math.pi
 _RSQRT_PI = 1.0 / math.sqrt(math.pi)
 
 
-def _series(nu: int, x: float, with_y: bool) -> tuple[float, float]:
-    """(J_nu(x), Y_nu(x)) from the ascending series; Y is nan unless with_y.
+def _pairs(a, b):
+    """A Clenshaw table of two series: the degree-0 pair, the rest highest degree first."""
+    return (a[0], b[0]), tuple(zip(a[:0:-1], b[:0:-1]))
 
-    Each sum stops after its first term below _SERIES_TOL. The Y0 terms
-    carry 2 H_k, so its cut-off is doubled: it stops at the same k as the
-    usual sum of H_k c_k.
-    """
-    z = 0.25 * x * x
-    tol, y_tol = _SERIES_TOL, (2 - nu) * _SERIES_TOL
-    c, h_k, h_k_nu = 1.0, 0.0, float(nu)  # c_k, H_k, H_(k+nu) at k = 0
-    j_terms, y_terms = [c], [h_k_nu]
-    j_open, y_open = True, with_y
-    k = 0
-    while j_open or y_open:
-        k += 1
-        c *= -z / (k * (k + nu))
-        if j_open:
-            j_terms.append(c)
-            j_open = abs(c) > tol
-        if y_open:
-            h_k += 1.0 / k
-            h_k_nu += 1.0 / (k + nu)
-            t = c * (h_k + h_k_nu)
-            y_terms.append(t)
-            y_open = abs(t) >= y_tol
-    half_x_nu = 0.5 * x if nu else 1.0
-    j = half_x_nu * math.fsum(j_terms)
-    if not with_y:
-        return j, math.nan
-    log_term = (math.log(0.5 * x) + EULER_GAMMA) * j
-    y = log_term - nu / x - half_x_nu * (0.5 * math.fsum(y_terms))
-    return j, (2.0 / math.pi) * y
+
+def _piece(nu, lo, hi):
+    """(scale, shift, table) of P_nu and 8x Q_nu on (lo, hi]: t = scale / x^2 - shift."""
+    u_min = (lo / hi) ** 2  # u = (lo/x)^2 runs over [u_min, 1]
+    table = _pairs(getattr(_T, f"P{nu}_{lo:g}"), getattr(_T, f"QT{nu}_{lo:g}"))
+    return 2.0 * lo * lo / (1.0 - u_min), (1.0 + u_min) / (1.0 - u_min), table
+
+
+_SMALL = (_pairs(_T.A0, _T.B0), _pairs(_T.A1, _T.B1))
+# By nu, the pieces (4, 8], (8, 16] and (16, inf), indexed by bisect_left(_EDGES, x).
+_EDGES = _T.EDGES
+_LARGE = tuple(tuple(_piece(nu, lo, hi) for lo, hi in zip((_XCUT,) + _EDGES, _EDGES + (math.inf,)))
+               for nu in (0, 1))
+
+
+def _clenshaw(t: float, table) -> tuple[float, float]:
+    """The two Chebyshev series of a ``_pairs`` table at t in [-1, 1], in one pass."""
+    (a0, b0), pairs = table
+    tt = 2.0 * t
+    p1 = p2 = q1 = q2 = 0.0
+    for a, b in pairs:
+        p1, p2 = tt * p1 - p2 + a, p1
+        q1, q2 = tt * q1 - q2 + b, q1
+    return t * p1 - p2 + a0, t * q1 - q2 + b0
 
 
 def _jy(name: str, nu: int, x: float, x_min: float = _X_MIN) -> tuple[float, float]:
     """(J_nu(x), Y_nu(x)) for nu in {0, 1}, or DomainError naming ``name``.
 
-    x_min = 0 admits x = 0 for the J-only functions; Y is then nan for x <= 4.
+    x_min = 0 admits x = 0 and subnormal x for the J-only functions; Y is nan there.
     """
     if not (x_min <= x < math.inf):
         raise DomainError(f"{name} requires finite x >= {x_min}; got {x}")
     if x <= _XCUT:
-        return _series(nu, x, x_min > 0)
-    t = 2.0 * (_XCUT / x) ** 2 - 1.0
-    tt = 2.0 * t
-    p1 = p2 = q1 = q2 = 0.0  # Clenshaw recurrences of P_nu and 8x Q_nu, one pass
-    for a, b in _PQ[nu]:
-        p1, p2 = tt * p1 - p2 + a, p1
-        q1, q2 = tt * q1 - q2 + b, q1
-    p0, q0 = _PQ0[nu]
-    p, q = t * p1 - p2 + p0, (t * q1 - q2 + q0) / (8.0 * x)
+        a, b = _clenshaw(0.125 * x * x - 1.0, _SMALL[nu])
+        half_x = 0.5 * x
+        j = half_x * a if nu else a
+        if x < _X_MIN:
+            return j, math.nan
+        log_term = math.log(half_x) + EULER_GAMMA
+        y = log_term * j - 1.0 / x + half_x * b if nu else log_term * a + b
+        return j, _TWO_OVER_PI * y
+    scale, shift, table = _LARGE[nu][bisect_left(_EDGES, x)]
+    p, qt = _clenshaw(scale / (x * x) - shift, table)
+    q = qt / (8.0 * x)
     # sqrt(2) (cos, sin) of chi_0 = x - pi/4, then of chi_1 = chi_0 - pi/2
     cx, sx = math.cos(x), math.sin(x)
     c, s = (cx + sx, sx - cx) if nu == 0 else (sx - cx, -cx - sx)

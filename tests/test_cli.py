@@ -6,6 +6,7 @@ import math
 import pytest
 
 import qcwaves.cli as cli
+import qcwaves.scenario as scenario
 import qcwaves.verify as verify
 from qcwaves import (
     QcMaterial,
@@ -425,6 +426,34 @@ class TestInputBoundary:
         assert cli.main(["verify", "--material", material_file, "--suite", "reciprocity",
                          "--report", str(report)]) == 2
         assert f"error: cannot write {report}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["missing-dir", "directory", "sidecar-directory", "empty"])
+    def test_unwritable_sample_output_fails_before_evaluation(self, tmp_path, material_file,
+                                                              monkeypatch, capsys, where):
+        monkeypatch.setattr(scenario, "sample_rows", lambda *args: pytest.fail("grid evaluated"))
+        paths = {"missing-dir": tmp_path / "missing" / "field.csv", "empty": ""}
+        out = paths.get(where, tmp_path / "out")
+        if where == "directory":
+            out.mkdir()
+        if where == "sidecar-directory":
+            (tmp_path / "out.meta.json").mkdir()
+        assert cli.main(["sample", "--material", material_file, "--scenario",
+                         write_scenario(tmp_path, fundamental_scenario(3, 3)),
+                         "--out", str(out)]) == 2
+        unwritable = tmp_path / "out.meta.json" if where == "sidecar-directory" else out
+        assert f"error: cannot write {unwritable}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").is_file()
+
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_verify_report_fails_before_any_suite(self, tmp_path, material_file,
+                                                             capsys, where):
+        report = tmp_path / "missing" / "report.json" if where == "missing-dir" else tmp_path
+        assert cli.main(["verify", "--material", material_file, "--suite", "reciprocity",
+                         "--report", str(report)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""  # not one suite ran
+        reason = "No such file or directory" if where == "missing-dir" else "Is a directory"
+        assert f"error: cannot write {report}: {reason}" in err
 
     def test_overflowing_phase_names_its_point(self, tmp_path, material_file, capsys):
         # k * t leaves the float range at the third point only

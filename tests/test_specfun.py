@@ -32,6 +32,7 @@ PRODUCTION = {
 def test_small_argument_values():
     assert bessel_j0(0.0) == 1.0
     assert bessel_j1(0.0) == 0.0
+    assert bessel_j0(5e-324) == 1.0 and bessel_j1(5e-324) == 0.0  # J only below 2.2e-308
 
 
 def test_j0_vanishes_at_first_zero():
@@ -96,10 +97,15 @@ def test_amplitude_at_float_maximum():
 
 
 def test_branch_is_continuous_at_split():
-    # production switches from series to phase-amplitude at x = 4
-    for name, (fn, oracle) in PRODUCTION.items():
-        below, above = fn(4.0 - 1e-12), fn(4.0 + 1e-12)
-        assert abs(below - above) < 1e-11, name
+    # production switches from series to phase-amplitude at x = 4, then
+    # from one amplitude table to the next at x = 8 and x = 16
+    for edge in (4.0, 8.0, 16.0):
+        for name, (fn, oracle) in PRODUCTION.items():
+            below, above = fn(edge - 1e-12), fn(edge + 1e-12)
+            assert abs(below - above) < 1e-11, (name, edge)
+            # each side of the edge, to the last ulp, agrees with the oracle
+            for x in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)):
+                assert abs(fn(x) - oracle(x)) < 1e-14, (name, x)
 
 
 @pytest.mark.parametrize("x", [0.1, 1.0, 10.0, 50.0])
