@@ -19,10 +19,10 @@ the free field adds the boundary-reflected wave,
 
 whose traction on x2 = 0 vanishes identically: the x2-derivative of the
 bracket is proportional to the difference of the two exponentials, which is
-exactly zero on the boundary. Stresses are computed from the analytic
-derivatives of the exponentials, so the dispersion relation
-k_mode^2 = rho omega^2 / a_mode makes the equations of motion hold to
-round-off. Grazing and normal incidence (phi = 0, pi/2) are rejected.
+exactly zero on the boundary. Stresses are a_mode zeta times the analytic
+gradient of the exponentials (C zeta = a_mode zeta: no c44, R3, K2 sums to
+cancel), so k_mode^2 = rho omega^2 / a_mode makes the equations of motion
+hold to round-off. Grazing and normal incidence (phi = 0, pi/2) are rejected.
 
 Every field function takes x as one point, shape (2,), or N points, shape
 (N, 2), and then gives results with a leading axis of length N. Set-up and
@@ -104,16 +104,16 @@ def mode_vector(m: QcMaterial, mode: str) -> np.ndarray:
 
 
 def _plane_wave(m: QcMaterial, wave: IncidentWave, omega: float, x, half_plane: bool):
-    """k, zeta, (cos phi, sin phi), exp(i k t) of the incident (and reflected)
-    wave as a (1 or 2, N, re/im) array, and whether x was one point. The
-    half-plane and finite-phase checks name the first offending point.
+    """k, a (C zeta = a zeta), zeta, (cos phi, sin phi), exp(i k t) of the incident
+    (and reflected) wave as a (1 or 2, N, re/im) array, and whether x was one
+    point. The half-plane and finite-phase checks name the first offending point.
     """
     pts = np.asarray(x, dtype=float)
     single, pts = pts.ndim == 1, pts.reshape(-1, 2)
     if half_plane:
         halfplane.check_field_point(pts)
-    wp = wave_parameters(decompose(m), m.rho, omega)
-    k = wp.k1 if wave.mode == "S1" else wp.k2
+    wp = wave_parameters(d := decompose(m), m.rho, omega)
+    k, a = (wp.k1, d.a1) if wave.mode == "S1" else (wp.k2, d.a2)
     c, s = math.cos(wave.phi), math.sin(wave.phi)
     x1c, x2s = pts[:, 0] * c, pts[:, 1] * s
     with np.errstate(over="ignore", invalid="ignore"):
@@ -124,7 +124,7 @@ def _plane_wave(m: QcMaterial, wave: IncidentWave, omega: float, x, half_plane: 
         raise DomainError(f"plane-wave phase k * t = {kt[:, i].tolist()} is not finite "
                           f"at point {pts[i].tolist()} (k = {k:g})")
     phases = np.stack([np.cos(kt), np.sin(kt)], axis=-1)
-    return k, mode_vector(m, wave.mode), (c, s), phases, single
+    return k, a, mode_vector(m, wave.mode), (c, s), phases, single
 
 
 def _times(a: complex, z: np.ndarray) -> np.ndarray:
@@ -141,7 +141,7 @@ def _complex(z: np.ndarray, single: bool) -> np.ndarray:
 
 
 def _field(m: QcMaterial, wave: IncidentWave, omega: float, x, half_plane: bool) -> FieldValue:
-    _, zeta, _, e, single = _plane_wave(m, wave, omega, x, half_plane)
+    _, _, zeta, _, e, single = _plane_wave(m, wave, omega, x, half_plane)
     a = _times(wave.amplitude, e.sum(axis=0))
     u3, w3 = _complex(np.stack([_times(z, a) for z in zeta], axis=1), single).T
     return FieldValue(complex(u3), complex(w3)) if single else FieldValue(u3, w3)
@@ -158,14 +158,12 @@ def halfplane_freefield(m: QcMaterial, wave: IncidentWave, omega: float, x) -> F
 
 
 def _stress_parts(m: QcMaterial, wave: IncidentWave, omega: float, x, half_plane: bool):
-    """(sigma_3j, H_3j) as (N, j, re/im) arrays from the analytic gradient, and single."""
-    k, zeta, (c, s), e, single = _plane_wave(m, wave, omega, x, half_plane)
+    """(sigma_3j, H_3j) = a zeta * gradient as (N, j, re/im) arrays, and single."""
+    k, a, zeta, (c, s), e, single = _plane_wave(m, wave, omega, x, half_plane)
     diff = e[0] - e[1] if half_plane else e[0]  # exactly zero on x2 = 0
     d = np.stack([_times(1j * k * c, e.sum(axis=0)), _times(1j * k * s, diff)], axis=1)
     g = _times(wave.amplitude, d)
-    du, dw = (_times(z, g) for z in zeta)
-    sigma = _times(m.c44, du) + _times(m.R3, dw)
-    return sigma, _times(m.R3, du) + _times(m.K2, dw), single
+    return *(_times(a * z, g) for z in zeta), single
 
 
 def freefield_stress(

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import kernels  # checks and _symmetric via the module: a tracer counts evaluations only
 from .errors import PointOutsideHalfPlane, SourceOnBoundary, SourceOutsideHalfPlane
-from .kernels import fundamental_displacement, fundamental_traction
+from .kernels import _displacement_entries, _traction_entries
 from .material import QcMaterial
 
 __all__ = ["image_point", "check_field_point", "green_displacement", "green_traction"]
@@ -37,6 +38,8 @@ def image_point(xi) -> tuple[float, float]:
 
 def check_field_point(x) -> None:
     """Raise PointOutsideHalfPlane naming the first point of x ((2,) or (N, 2)) with x2 > 0."""
+    if len(x) == 2 and isinstance(x[0], (float, int)) and not float(x[1]) > 0.0:
+        return  # one point inside: no numpy round trip
     pts = np.asarray(x, dtype=float).reshape(-1, 2)
     outside = pts[:, 1] > 0.0
     first = outside.argmax()  # the first True, or 0 when none is
@@ -49,9 +52,9 @@ def green_displacement(m: QcMaterial, x, xi, omega: float) -> np.ndarray:
     """Half-plane Green's displacement g* = v*(r) + v*(r~), shape (2, 2)."""
     check_field_point(x)
     xi_im = image_point(xi)
-    return fundamental_displacement(m, x, xi, omega) + fundamental_displacement(
-        m, x, xi_im, omega
-    )
+    direct = _displacement_entries(m, x, xi, omega)
+    image = _displacement_entries(m, x, xi_im, omega)
+    return kernels._symmetric(direct[0] + image[0], direct[1] + image[1], direct[2] + image[2])
 
 
 def green_traction(m: QcMaterial, x, xi, omega: float, n) -> np.ndarray:
@@ -62,6 +65,7 @@ def green_traction(m: QcMaterial, x, xi, omega: float, n) -> np.ndarray:
     """
     check_field_point(x)
     xi_im = image_point(xi)
-    return fundamental_traction(m, x, xi, omega, n) + fundamental_traction(
-        m, x, xi_im, omega, n
-    )
+    n1, n2 = kernels.check_normal(n)
+    direct = _traction_entries(m, x, xi, omega, n1, n2)
+    image = _traction_entries(m, x, xi_im, omega, n1, n2)
+    return kernels._symmetric(direct[0] + image[0], direct[1] + image[1], direct[2] + image[2])

@@ -113,11 +113,23 @@ class WaveParameters:
     c2: float
 
 
+def _determinant(m: QcMaterial) -> float:
+    """c44*K2 - R3^2 within an ulp: Dekker's TwoProduct on Veltkamp's split makes both
+    products exact. As rounded if it overflows or a modulus is 2**995 or more."""
+    p, q = m.c44 * m.K2, m.R3 * m.R3
+    if not (math.isfinite(p - q) and max(m.c44, m.K2, m.R3) < 2.0**995):
+        return p - q  # not finite, or a split would overflow
+    hi = [h - (h - v) for v in (m.c44, m.K2, m.R3) for h in [134217729.0 * v]]  # 26-bit halves
+    (c1, c2), (k1, k2), (r1, r2) = ((h, v - h) for h, v in zip(hi, (m.c44, m.K2, m.R3)))
+    p_err = ((c1 * k1 - p) + c1 * k2 + c2 * k1) + c2 * k2
+    return (p - q) + (p_err - (((r1 * r1 - q) + 2.0 * r1 * r2) + r2 * r2))
+
+
 def validate(m: QcMaterial) -> None:
     """Check the well-posedness conditions; raise a specific error if violated.
 
-    Requires finite c44 > 0, K2 > 0, R3 >= 0, rho > 0 and c44*K2 - R3^2 > 0.
-    Accepts arbitrary numeric input (NaN and +-inf fail the range checks).
+    Requires finite c44 > 0, K2 > 0, R3 >= 0, rho > 0 and c44*K2 - R3^2 > 0 (within an
+    ulp, so CouplingTooStrong moves only by round-off); NaN and +-inf fail the range checks.
     """
     if not (0.0 < m.c44 < math.inf and 0.0 < m.K2 < math.inf and 0.0 <= m.R3 < math.inf):
         raise NonPositiveModulus(
@@ -125,7 +137,7 @@ def validate(m: QcMaterial) -> None:
         )
     if not (0.0 < m.rho < math.inf):
         raise NonPositiveDensity(f"need finite rho > 0; got rho={m.rho}")
-    det = m.c44 * m.K2 - m.R3 * m.R3
+    det = _determinant(m)
     if not (det > 0.0):
         raise CouplingTooStrong(
             f"need c44*K2 - R3^2 > 0; got {det} (coupling too strong)"
@@ -149,7 +161,7 @@ def decompose(m: QcMaterial) -> SpectralDecomposition:
         return memo[1]
     validate(m)
     trace = m.c44 + m.K2
-    det = m.c44 * m.K2 - m.R3 * m.R3
+    det = _determinant(m)
     # sum-of-squares form of the discriminant: no cancellation
     disc = math.hypot(m.c44 - m.K2, 2.0 * m.R3)
     a1 = 0.5 * trace + 0.5 * disc  # = 0.5 * (trace + disc), which can overflow

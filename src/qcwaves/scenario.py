@@ -339,11 +339,12 @@ def sample_rows(s: Scenario, m: QcMaterial) -> np.ndarray:
     if s.kind in POINT_SOURCE_KINDS:
         disp, trac = ((fundamental_displacement, fundamental_traction) if s.kind == "fundamental"
                       else (green_displacement, green_traction))
+        out = rows[:, 2:].view(complex).reshape(len(pts), -1, 2, 2)  # 2x2 results, row-major
         for i, p in enumerate(pts.tolist()):
-            try:  # each 2x2 complex result fills 8 columns, row-major, re/im pairs
-                rows[i, 2:10] = disp(m, p, s.source, s.omega).ravel().view(float)
+            try:
+                out[i, 0] = disp(m, p, s.source, s.omega)
                 if traction:
-                    rows[i, 10:] = trac(m, p, s.source, s.omega, s.normal).ravel().view(float)
+                    out[i, 1] = trac(m, p, s.source, s.omega, s.normal)
             except QcError as exc:
                 raise EvaluationError(f"evaluation failed at point {p}: {exc}") from exc
     else:

@@ -21,6 +21,7 @@ from qcwaves import (
     wave_parameters,
 )
 
+from qcwaves.halfplane import check_field_point
 from test_material import random_material
 
 M = QcMaterial(c44=4.0, R3=1.2, K2=2.5, rho=2.0)
@@ -39,6 +40,31 @@ class TestImagePoint:
     def test_source_outside(self):
         with pytest.raises(SourceOutsideHalfPlane):
             image_point((0.0, 0.5))
+
+
+def raised(x):
+    """(type, message) of what check_field_point(x) raises, or None."""
+    try:
+        check_field_point(x)
+    except Exception as exc:  # any type: the comparison is the test
+        return type(exc), str(exc)
+    return None
+
+
+class TestCheckFieldPoint:
+    @pytest.mark.parametrize("x2", [0.0, -0.0, 1e-300, math.nan, -1.5])
+    def test_one_point_as_the_array_branch(self, x2):
+        expected = raised(np.array([[0.25, x2]]))
+        assert (expected is None) == (not x2 > 0.0)
+        for pair in ((0.25, x2), [0.25, x2], np.array([0.25, x2]),
+                     (np.float64(0.25), np.float64(x2))):
+            assert raised(pair) == expected, pair
+
+    def test_two_points_are_not_one_pair(self):
+        with pytest.raises(PointOutsideHalfPlane, match=r"\(1.0, 2.0\)"):
+            check_field_point([[0.0, -1.0], [1.0, 2.0]])
+        with pytest.raises(PointOutsideHalfPlane, match=r"\(1.0, 2.0\)"):
+            check_field_point(np.array([[0.0, -1.0], [1.0, 2.0]]))
 
 
 class TestGreenDisplacement:

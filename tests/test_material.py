@@ -2,6 +2,7 @@
 
 import math
 from decimal import Decimal, getcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from qcwaves import (
     validate,
     wave_parameters,
 )
+from qcwaves.material import _determinant
 
 
 def random_material(rng, span: float = 11.0, max_coupling: float = 0.999) -> QcMaterial:
@@ -73,6 +75,26 @@ class TestValidate:
         # c44*K2 = 1e600 overflows; decompose() would return a2 = inf
         with pytest.raises(InvalidMaterial):
             validate(QcMaterial(c44=1e300, R3=0.0, K2=1e300, rho=1.0))
+
+    def test_determinant_within_an_ulp(self):
+        # both products are exact, so only the final subtraction rounds, even where
+        # c44*K2 and R3^2 agree to 16 digits
+        rng = np.random.default_rng(8)
+        for _ in range(2000):
+            c44, k2 = 10.0 ** rng.uniform(-100.0, 100.0, size=2)
+            r3 = math.sqrt(c44 * k2) * (1.0 - 10.0 ** rng.uniform(-16.0, 0.0))
+            exact = Fraction(c44) * Fraction(k2) - Fraction(r3) ** 2
+            got = _determinant(QcMaterial(c44=c44, R3=r3, K2=k2, rho=1.0))
+            assert abs(Fraction(got) - exact) <= Fraction(math.ulp(float(exact))), (c44, k2, r3)
+
+    def test_split_never_overflows(self):
+        # an overflowing product raises before any split; a huge modulus with a
+        # finite product is accepted with the determinant as rounded
+        with pytest.raises(InvalidMaterial, match="overflows"):
+            validate(QcMaterial(c44=1e200, R3=1.0, K2=1e200, rho=1.0))
+        m = QcMaterial(c44=1e305, R3=1.0, K2=1e-5, rho=1.0)
+        validate(m)
+        assert _determinant(m) == 1e305 * 1e-5 - 1.0
 
     def test_degenerate_determinant_rejected(self):
         with pytest.raises(CouplingTooStrong):

@@ -5,7 +5,8 @@ with psi = pi/2) and two frequencies, with invalid input in between. Every
 result must equal one computed on a fresh copy of the input, and the kernels
 and half-plane Green's functions must keep the bits of the plain formulas
 spelled out below: cos and sin of psi per call, the Macdonald values as
-multiples of the Hankel functions, and the stress contraction as loops.
+multiples of the Hankel functions, and the modal-form stress contracted
+as loops.
 """
 
 import dataclasses
@@ -66,14 +67,13 @@ def reference_traction(m, x, xi, omega, n):
     wp = wave_parameters(d, m.rho, omega)
     r1, r2, r = separation(x, xi)
     c, s = math.cos(d.psi), math.sin(d.psi)
-    f1 = 1j * wp.k1 * (-0.5 * math.pi * hankel1_1(wp.k1 * r)) / (TWO_PI * d.a1)
-    f2 = 1j * wp.k2 * (-0.5 * math.pi * hankel1_1(wp.k2 * r)) / (TWO_PI * d.a2)
-    g11, g12, g22 = c * c * f1 + s * s * f2, c * s * (f1 - f2), s * s * f1 + c * c * f2
+    # modal form: C Q diag(f1', f2') Q^T = Q diag(a1 f1', a2 f2') Q^T, a_i f_i' free of a_i
+    f1 = 1j * wp.k1 * (-0.5 * math.pi * hankel1_1(wp.k1 * r)) / TWO_PI
+    f2 = 1j * wp.k2 * (-0.5 * math.pi * hankel1_1(wp.k2 * r)) / TWO_PI
+    m11, m12, m22 = c * c * f1 + s * s * f2, c * s * (f1 - f2), s * s * f1 + c * c * f2
     e1, e2 = r1 / r, r2 / r
-    du = ((g11 * e1, g11 * e2), (g12 * e1, g12 * e2))
-    dw = ((g12 * e1, g12 * e2), (g22 * e1, g22 * e2))
-    sigma = [[m.c44 * u + m.R3 * w for u, w in zip(*uw)] for uw in zip(du, dw)]
-    h = [[m.R3 * u + m.K2 * w for u, w in zip(*uw)] for uw in zip(du, dw)]
+    sigma = [(v * e1, v * e2) for v in (m11, m12)]
+    h = [(v * e1, v * e2) for v in (m12, m22)]
     return np.array([[s1 * n[0] + s2 * n[1] for s1, s2 in sigma],
                      [h1 * n[0] + h2 * n[1] for h1, h2 in h]])
 

@@ -17,8 +17,11 @@ with its ``src/`` on PYTHONPATH, on inputs written to a temporary directory:
 For every output file (CSV, sidecar, report) it prints whether the bytes
 are identical. For every CSV it also prints the largest distance in units
 in the last place (ulp) and the largest difference divided by the largest
-magnitude of its column in the first tree. The exit code is 0 when every
-output is byte-identical and 1 otherwise.
+magnitude of its column in the first tree. Below a JSON output that
+differs it prints each differing key path with its relative change,
+largest first, e.g. ``checks[0].max_kernel_residual rel 1.7e-07`` (``inf``
+for a value that is not a number on both sides, or is missing on one).
+The exit code is 0 when every output is byte-identical and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ SCENARIOS = {
 SAMPLES = ("fundamental", *SCENARIOS)  # fundamental: demos/scenario_fundamental.json
 VERIFY_OMEGAS = "1e4,1e6"
 VERIFY_REPORTS = {"verify.json": "material.json", "verify-r3zero.json": "material_r3zero.json"}
+_MISSING = object()  # a key only one JSON document has
 
 
 def write_inputs(where: Path) -> None:
@@ -99,6 +103,28 @@ def csv_distance(a_path: Path, b_path: Path) -> str:
     return f"max ulp {ulps}, max diff / column max {rel:.3g}"
 
 
+def json_changes(a, b, path: str = "") -> list[tuple[str, float]]:
+    """(key path, relative change) of every leaf of two JSON documents that differs.
+
+    A number pair changes by |b - a| / max(|a|, |b|); any other difference,
+    a missing key or a list of another length, counts as inf.
+    """
+    if isinstance(a, dict) and isinstance(b, dict):
+        keys = [*a, *(k for k in b if k not in a)]
+        return [c for k in keys for c in json_changes(a.get(k, _MISSING), b.get(k, _MISSING),
+                                                       f"{path}.{k}" if path else str(k))]
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return [c for i, (x, y) in enumerate(zip(a, b))
+                for c in json_changes(x, y, f"{path}[{i}]")]
+    numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b))
+    if numbers and (a == b or math.isnan(a) and math.isnan(b)):
+        return []
+    if not numbers:
+        return [] if type(a) is type(b) and a == b else [(path, math.inf)]
+    rel = abs(b - a) / max(abs(a), abs(b))
+    return [(path, rel if math.isfinite(rel) else math.inf)]
+
+
 def compare(a_src: Path, b_src: Path) -> bool:
     """Print one line per output; True when every output is byte-identical."""
     with tempfile.TemporaryDirectory(prefix="qcwaves-compare-") as tmp:
@@ -121,6 +147,10 @@ def compare(a_src: Path, b_src: Path) -> bool:
                 line = "identical" if identical else "differs"
                 if name.endswith(".csv"):
                     line += f"; {csv_distance(a, b)}"
+                elif not identical:
+                    changes = json_changes(*(json.loads(p.read_text()) for p in (a, b)))
+                    line += "".join(f"\n    {path} rel {rel:.2g}" for path, rel in
+                                    sorted(changes, key=lambda c: -c[1]))
             print(f"{name:28} {line}")
         return same
 
