@@ -51,8 +51,6 @@ from .material import (
     wave_parameters,
 )
 from .specfun import (
-    bessel_j0,
-    bessel_j1,
     bessel_y0,
     bessel_y1,
     hankel1_0,

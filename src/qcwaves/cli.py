@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import errno
-import json
 import math
 import os
 import sys
@@ -30,7 +29,7 @@ import numpy as np
 from . import __version__
 from .errors import ParseError, QcError, ValidationError
 from .material import decompose, validate, wave_parameters
-from .scenario import load_material, load_scenario, material_to_dict, run_scenario
+from .scenario import _write_json, load_material, load_scenario, run_scenario
 from .verify import DEFAULT_SEED, SUITES
 
 EXIT_OK = 0
@@ -76,7 +75,6 @@ def _check_writable(*paths: str | None) -> None:
 
 def cmd_decompose(args) -> int:
     m = load_material(args.material)
-    validate(m)
     d = decompose(m)
     print(f"material: c44={m.c44:g} Pa  R3={m.R3:g} Pa  K2={m.K2:g} Pa  rho={m.rho:g} kg/m^3")
     print(f"a1 = {d.a1:.12g} Pa")
@@ -130,19 +128,9 @@ def cmd_verify(args) -> int:
             checks.append(result)
             print(f"[{result['status']:>7}] {name} @ omega={omega:g}")
     all_passed = all(c["status"] != "fail" for c in checks)
-    report = {
-        "schema_version": 1,
-        "generator": {"package": "qcwaves", "version": __version__},
-        "material": material_to_dict(m),
-        "omega": omegas,
-        "seed": seed,
-        "checks": checks,
-        "all_passed": all_passed,
-    }
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.report, m, omega=omegas, seed=seed, checks=checks,
+                    all_passed=all_passed)
         print(f"wrote report {args.report}")
     return EXIT_OK if all_passed else EXIT_VERIFY_FAILED
 

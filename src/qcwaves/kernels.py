@@ -50,17 +50,9 @@ __all__ = [
     "fundamental_gradient",
     "fundamental_stress",
     "fundamental_traction",
-    "separation",
 ]
 
 TWO_PI = 2.0 * math.pi
-
-
-def separation(x, xi) -> tuple[float, float, float]:
-    """Return (r1, r2, r) with r_j = x_j - xi_j and r = |x - xi|."""
-    r1 = float(x[0]) - float(xi[0])
-    r2 = float(x[1]) - float(xi[1])
-    return r1, r2, math.hypot(r1, r2)
 
 
 def _separation(x, xi) -> tuple[float, float, float]:

@@ -144,13 +144,17 @@ def load_material(path) -> QcMaterial:
 
 
 def material_to_dict(m: QcMaterial) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "c44": m.c44,
-        "R3": m.R3,
-        "K2": m.K2,
-        "rho": m.rho,
-    }
+    return {"schema_version": SCHEMA_VERSION, **{k: getattr(m, k) for k in MATERIAL_KEYS}}
+
+
+def _write_json(path, m: QcMaterial, **fields) -> None:
+    """Write fields under the schema_version, generator and material every JSON output carries."""
+    doc = {"schema_version": SCHEMA_VERSION,
+           "generator": {"package": "qcwaves", "version": __version__},
+           "material": material_to_dict(m), **fields}
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _parse_point(value, key: str, where: str) -> tuple[float, float]:
@@ -269,7 +273,7 @@ def _axis_values(lo: float, hi: float, count: int) -> np.ndarray:
     if count == 1:
         return np.array([lo])
     step = (hi - lo) / (count - 1)
-    with np.errstate(invalid="ignore"):  # 0 * inf: validate_scenario names the point
+    with np.errstate(over="ignore", invalid="ignore"):  # validate_scenario names the point
         return lo + np.arange(count) * step
 
 
@@ -350,11 +354,12 @@ def sample_rows(s: Scenario, m: QcMaterial) -> np.ndarray:
     else:
         half_plane = s.kind == "freefield-half"
         field = halfplane_freefield if half_plane else fullplane_incident
-        try:  # the library names the first failing point
-            rows[:, 2:6] = field(m, s.wave, s.omega, pts).as_array().view(float)
-            if traction:
-                rows[:, 6:] = freefield_traction(m, s.wave, s.omega, pts, s.normal,
-                                                 half_plane=half_plane).view(float)
+        try:  # the library names the first failing point; an overflow, the check below
+            with np.errstate(over="ignore", invalid="ignore"):
+                rows[:, 2:6] = field(m, s.wave, s.omega, pts).as_array().view(float)
+                if traction:
+                    rows[:, 6:] = freefield_traction(m, s.wave, s.omega, pts, s.normal,
+                                                     half_plane=half_plane).view(float)
         except QcError as exc:
             raise EvaluationError(f"evaluation failed: {exc}") from exc
     finite = np.isfinite(rows).all(axis=1)
@@ -379,14 +384,5 @@ def run_scenario(s: Scenario, m: QcMaterial, out_path, sidecar_path=None) -> int
             chunk = rows[start:start + _CSV_CHUNK_ROWS].tolist()
             fh.write("".join(",".join(map(repr, row)) + "\n" for row in chunk))
     if sidecar_path is not None:
-        sidecar = {
-            "schema_version": SCHEMA_VERSION,
-            "generator": {"package": "qcwaves", "version": __version__},
-            "scenario": scenario_to_dict(s),
-            "material": material_to_dict(m),
-            "rows": len(rows),
-        }
-        with open(sidecar_path, "w", encoding="utf-8") as fh:
-            json.dump(sidecar, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(sidecar_path, m, scenario=scenario_to_dict(s), rows=len(rows))
     return len(rows)

@@ -1,8 +1,9 @@
-"""Real-argument cylinder functions J0, J1, Y0, Y1, H0^(1), H1^(1) and the
+"""Real-argument cylinder functions Y0, Y1, H0^(1), H1^(1) and the
 imaginary-argument Macdonald values K0(-ix), K1(-ix), implemented in-repo so
-the package is self-contained and the oracle tests test something.
+the package is self-contained and the oracle tests test something. J_nu(x)
+is ``hankel1_nu(x).real``.
 
-All eight functions are one line over one core, ``_jy(name, nu, x)``, which
+All six functions are one line over one core, ``_jy(name, nu, x)``, which
 checks the domain and returns (J_nu(x), Y_nu(x)) for nu in {0, 1}. Each
 argument costs one Clenshaw pass (DLMF 3.11(ii)) over a frozen table of two
 Chebyshev series, of fixed length per branch (``tools/generate_cylinder_tables.py``
@@ -34,9 +35,9 @@ The Macdonald values use K_nu(-ix) = (pi/2) i^(nu+1) H_nu^(1)(x): K0(-ix) =
 (i pi/2) H0^(1)(x) and K1(-ix) = -(pi/2) H1^(1)(x), a constant the tests pin
 against an independent series oracle.
 
-Arguments must be finite, x >= 0 for J and x >= 2.2e-308 (a normal float)
-for Y, H and K; anything else raises :class:`~qcwaves.errors.DomainError`
-naming the function. The functions keep no state: pure and thread-safe.
+Arguments must be finite and x >= 2.2e-308 (a normal float); anything else
+raises :class:`~qcwaves.errors.DomainError` naming the function. The
+functions keep no state: pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -49,8 +50,6 @@ from . import _cyltables as _T
 from .errors import DomainError
 
 __all__ = [
-    "bessel_j0",
-    "bessel_j1",
     "bessel_y0",
     "bessel_y1",
     "hankel1_0",
@@ -62,7 +61,7 @@ __all__ = [
 EULER_GAMMA = 0.57721566490153286
 
 _XCUT = _T.XCUT
-# Smallest argument of Y, H and K: 0.5 * x in their log(x / 2) term stays normal.
+# Smallest argument: 0.5 * x in the log(x / 2) term stays normal.
 _X_MIN = sys.float_info.min
 _TWO_OVER_PI = 2.0 / math.pi
 _RSQRT_PI = 1.0 / math.sqrt(math.pi)
@@ -98,19 +97,14 @@ def _clenshaw(t: float, table) -> tuple[float, float]:
     return t * p1 - p2 + a0, t * q1 - q2 + b0
 
 
-def _jy(name: str, nu: int, x: float, x_min: float = _X_MIN) -> tuple[float, float]:
-    """(J_nu(x), Y_nu(x)) for nu in {0, 1}, or DomainError naming ``name``.
-
-    x_min = 0 admits x = 0 and subnormal x for the J-only functions; Y is nan there.
-    """
-    if not (x_min <= x < math.inf):
-        raise DomainError(f"{name} requires finite x >= {x_min}; got {x}")
+def _jy(name: str, nu: int, x: float) -> tuple[float, float]:
+    """(J_nu(x), Y_nu(x)) for nu in {0, 1}, or DomainError naming ``name``."""
+    if not (_X_MIN <= x < math.inf):
+        raise DomainError(f"{name} requires finite x >= {_X_MIN}; got {x}")
     if x <= _XCUT:
         a, b = _clenshaw(0.125 * x * x - 1.0, _SMALL[nu])
         half_x = 0.5 * x
         j = half_x * a if nu else a
-        if x < _X_MIN:
-            return j, math.nan
         log_term = math.log(half_x) + EULER_GAMMA
         y = log_term * j - 1.0 / x + half_x * b if nu else log_term * a + b
         return j, _TWO_OVER_PI * y
@@ -122,16 +116,6 @@ def _jy(name: str, nu: int, x: float, x_min: float = _X_MIN) -> tuple[float, flo
     c, s = (cx + sx, sx - cx) if nu == 0 else (sx - cx, -cx - sx)
     m = _RSQRT_PI / math.sqrt(x)
     return m * (p * c - q * s), m * (p * s + q * c)
-
-
-def bessel_j0(x: float) -> float:
-    """Bessel function of the first kind, order zero, x >= 0."""
-    return _jy("bessel_j0", 0, x, 0)[0]
-
-
-def bessel_j1(x: float) -> float:
-    """Bessel function of the first kind, order one, x >= 0."""
-    return _jy("bessel_j1", 1, x, 0)[0]
 
 
 def bessel_y0(x: float) -> float:

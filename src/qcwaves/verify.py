@@ -29,7 +29,7 @@ import numpy as np
 from .errors import RadiusTooLarge, StencilOutOfDomain
 from .freefield import IncidentWave, freefield_traction, fullplane_incident
 from .halfplane import green_displacement, green_traction, image_point
-from .kernels import fundamental_displacement, fundamental_traction, separation
+from .kernels import fundamental_displacement, fundamental_traction
 from .material import QcMaterial, decompose, validate, wave_parameters
 from .specfun import macdonald_k0_neg_i
 
@@ -261,7 +261,7 @@ def reciprocity_check(
     while drawn < sample_count:
         x = rng.uniform(-2.0 * lam, 2.0 * lam, size=2)
         xi = rng.uniform(-2.0 * lam, 2.0 * lam, size=2)
-        _, _, r = separation(x, xi)
+        r = math.dist(x, xi)
         if r < 1e-3 * lam:
             continue
         drawn += 1
@@ -310,7 +310,7 @@ def decoupling_check(
     n_checked = 0
     half_plane_source = float(xi[1]) < 0.0
     for p in points:
-        _, _, r = separation(p, xi)
+        r = math.dist(p, xi)
         u_iso, w_iso = _isotropic_pair(m, omega, r)
         v = fundamental_displacement(m, p, xi, omega)
         scale = max(abs(u_iso), abs(w_iso))
@@ -322,7 +322,7 @@ def decoupling_check(
             float(abs(v[1, 0]) / scale),
         )
         if half_plane_source and float(p[1]) <= 0.0:
-            _, _, r_im = separation(p, image_point(xi))
+            r_im = math.dist(p, image_point(xi))
             u_im, w_im = _isotropic_pair(m, omega, r_im)
             g = green_displacement(m, p, xi, omega)
             g_scale = max(abs(u_iso + u_im), abs(w_iso + w_im))

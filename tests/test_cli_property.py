@@ -79,7 +79,7 @@ def cases(draw):
     return command, material, scenario
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow on extreme inputs
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy overflow must not reach the user
 @settings(max_examples=200, deadline=None)
 @given(case=cases())
 def test_any_document_exits_with_a_documented_code(tmp_path_factory, case):
@@ -101,3 +101,30 @@ def test_any_document_exits_with_a_documented_code(tmp_path_factory, case):
     elif out.exists():
         text = out.read_text()
         assert "nan" not in text and "inf" not in text
+
+
+DEMO_MATERIAL = {"schema_version": 1, "c44": 4.2e10, "R3": 1.2e9, "K2": 2.4e10, "rho": 4186.0}
+HUGE = 1.7976931348623157e308
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scenario, code, reason", [
+    ({**SCENARIOS[3], "omega": 1e6, "wave": {**WAVE, "amplitude": [1e308, 1e308]}},
+     3, "gave a non-finite value"),
+    ({**SCENARIOS[2], "omega": 1e305, "points": [[1e-300, -1e-300]], "grid": DELETE},
+     3, "gave a non-finite value"),
+    ({**SCENARIOS[2], "grid": {"x1": [0.0, 1.0, 2], "x2": [5e-324, HUGE, 19]}},
+     2, "is not finite"),
+], ids=["freefield-half-huge-amplitude", "freefield-full-huge-omega", "grid-step-overflows"])
+def test_overflow_exits_with_one_error_line(tmp_path, scenario, code, reason):
+    scenario = {k: v for k, v in scenario.items() if v is not DELETE}
+    material_path, scenario_path, out = tmp_path / "m.json", tmp_path / "s.json", tmp_path / "f.csv"
+    material_path.write_text(json.dumps(DEMO_MATERIAL))
+    scenario_path.write_text(json.dumps(scenario))
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        exit_code = cli.main(["sample", "--material", str(material_path),
+                              "--scenario", str(scenario_path), "--out", str(out)])
+    lines = stderr.getvalue().splitlines()
+    assert exit_code == code and not out.exists()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and reason in lines[0], lines

@@ -41,3 +41,21 @@ def test_json_changes_names_each_moved_value():
     assert changes["checks[0].max_kernel_residual"] == pytest.approx(1.7e-7, rel=1e-6)
     assert changes["checks[1].values[0]"] == 2.0
     assert changes["checks[1].status"] == changes["all_passed"] == math.inf
+
+
+def write_csv(path: Path, rows) -> Path:
+    path.write_text("x1,t3_re\n" + "".join(f"{x!r},{t!r}\n" for x, t in rows))
+    return path
+
+
+def test_ulp_figure_skips_entries_near_a_cancelling_zero(tmp_path):
+    sys.path.insert(0, str(ROOT / "tools"))
+    from compare_outputs import csv_distance
+
+    before = [(0.0, 1.0), (1.0, 1e-17), (2.0, -0.5)]
+    a = write_csv(tmp_path / "a.csv", before)
+    near_zero = [(0.0, 1.0), (1.0, 3e-17), (2.0, -0.5)]  # thousands of ulps, 2e-17 of the max
+    assert csv_distance(a, write_csv(tmp_path / "b.csv", near_zero)) == \
+        "max ulp 0, max diff / column max 2e-17"
+    large = [(0.0, math.nextafter(1.0, 2.0)), (1.0, 1e-17), (2.0, -0.5)]  # negative control
+    assert csv_distance(a, write_csv(tmp_path / "c.csv", large)).startswith("max ulp 1, ")

@@ -31,7 +31,6 @@ from qcwaves import (
     wave_parameters,
 )
 from qcwaves.halfplane import image_point
-from qcwaves.kernels import separation
 
 DEMO = QcMaterial(c44=4.2e10, R3=1.2e9, K2=2.4e10, rho=4186.0)
 MATERIALS = (DEMO,
@@ -54,7 +53,7 @@ def fresh(m: QcMaterial):
 def reference_displacement(m, x, xi, omega):
     d, m = fresh(m)
     wp = wave_parameters(d, m.rho, omega)
-    r = separation(x, xi)[2]
+    r = math.dist(x, xi)
     c, s = math.cos(d.psi), math.sin(d.psi)
     f1 = 0.5j * math.pi * hankel1_0(wp.k1 * r) / (TWO_PI * d.a1)
     f2 = 0.5j * math.pi * hankel1_0(wp.k2 * r) / (TWO_PI * d.a2)
@@ -65,7 +64,7 @@ def reference_displacement(m, x, xi, omega):
 def reference_traction(m, x, xi, omega, n):
     d, m = fresh(m)
     wp = wave_parameters(d, m.rho, omega)
-    r1, r2, r = separation(x, xi)
+    r1, r2, r = x[0] - xi[0], x[1] - xi[1], math.dist(x, xi)
     c, s = math.cos(d.psi), math.sin(d.psi)
     # modal form: C Q diag(f1', f2') Q^T = Q diag(a1 f1', a2 f2') Q^T, a_i f_i' free of a_i
     f1 = 1j * wp.k1 * (-0.5 * math.pi * hankel1_1(wp.k1 * r)) / TWO_PI

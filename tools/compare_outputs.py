@@ -16,8 +16,10 @@ with its ``src/`` on PYTHONPATH, on inputs written to a temporary directory:
 
 For every output file (CSV, sidecar, report) it prints whether the bytes
 are identical. For every CSV it also prints the largest distance in units
-in the last place (ulp) and the largest difference divided by the largest
-magnitude of its column in the first tree. Below a JSON output that
+in the last place (ulp), counted only over entries of at least 1e-3 of
+their column's largest magnitude (round-off near a cancelling zero spans
+many ulps and says nothing), and the largest difference divided by the
+largest magnitude of its column in the first tree. Below a JSON output that
 differs it prints each differing key path with its relative change,
 largest first, e.g. ``checks[0].max_kernel_residual rel 1.7e-07`` (``inf``
 for a value that is not a number on both sides, or is missing on one).
@@ -53,6 +55,7 @@ SAMPLES = ("fundamental", *SCENARIOS)  # fundamental: demos/scenario_fundamental
 VERIFY_OMEGAS = "1e4,1e6"
 VERIFY_REPORTS = {"verify.json": "material.json", "verify-r3zero.json": "material_r3zero.json"}
 _MISSING = object()  # a key only one JSON document has
+ULP_FLOOR = 1e-3  # csv_distance counts ulps on entries >= this fraction of the column max
 
 
 def write_inputs(where: Path) -> None:
@@ -90,14 +93,16 @@ def ordered_bits(values: np.ndarray) -> np.ndarray:
 
 
 def csv_distance(a_path: Path, b_path: Path) -> str:
-    """Largest ulp distance and largest difference over its column's largest magnitude."""
+    """Largest ulp distance over entries >= ULP_FLOOR of their column's largest magnitude,
+    and largest difference over its column's largest magnitude."""
     a, b = (np.loadtxt(p, delimiter=",", skiprows=1, ndmin=2) for p in (a_path, b_path))
     header_a, header_b = (p.read_text().split("\n", 1)[0] for p in (a_path, b_path))
     if a.shape != b.shape or header_a != header_b:
         return "different columns or row count"
-    oa, ob = ordered_bits(a), ordered_bits(b)
-    ulps = int((np.maximum(oa, ob) - np.minimum(oa, ob)).max())
     scale = np.abs(a).max(axis=0)
+    oa, ob = ordered_bits(a), ordered_bits(b)
+    counted = np.abs(a) >= ULP_FLOOR * scale
+    ulps = int(np.where(counted, np.maximum(oa, ob) - np.minimum(oa, ob), 0).max(initial=0))
     diff = np.abs(a - b).max(axis=0)
     rel = max((d / s for d, s in zip(diff, scale) if s > 0), default=0.0)
     return f"max ulp {ulps}, max diff / column max {rel:.3g}"
