@@ -24,13 +24,11 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .errors import ParseError, QcError, ValidationError
 from .material import decompose, validate, wave_parameters
 from .scenario import _write_json, load_material, load_scenario, run_scenario
-from .verify import DEFAULT_SEED, SUITES
+from .verify import DEFAULT_SEED, SUITES, all_passed, run
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -114,25 +112,16 @@ def cmd_verify(args) -> int:
     suite_names = tuple(s.strip() for s in args.suite.split(",") if s.strip())
     if not suite_names:
         raise ParseError("empty suite list")
-    for name in suite_names:
-        if name not in SUITES:
-            raise ValidationError(f"unknown suite {name!r}; choose from {tuple(SUITES)}")
-    seed = args.seed
-    if seed < 0:
-        raise ValidationError(f"--seed must be >= 0; got {seed}")
     checks = []
-    for omega in omegas:
-        rng = np.random.default_rng(seed)
-        for name in suite_names:
-            result = {"name": name, **SUITES[name](m, omega, rng, seed), "omega": omega}
-            checks.append(result)
-            print(f"[{result['status']:>7}] {name} @ omega={omega:g}")
-    all_passed = all(c["status"] != "fail" for c in checks)
+    for check in run(m, omegas, suite_names, args.seed):
+        checks.append(check)
+        print(f"[{check['status']:>7}] {check['name']} @ omega={check['omega']:g}")
+    passed = all_passed(checks)
     if args.report:
-        _write_json(args.report, m, omega=omegas, seed=seed, checks=checks,
-                    all_passed=all_passed)
+        _write_json(args.report, m, omega=omegas, seed=args.seed, checks=checks,
+                    all_passed=passed)
         print(f"wrote report {args.report}")
-    return EXIT_OK if all_passed else EXIT_VERIFY_FAILED
+    return EXIT_OK if passed else EXIT_VERIFY_FAILED
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -26,10 +26,12 @@ traction contracts the very stress entries fundamental_stress returns (the *_ent
 
 The time convention is e^(-i omega t), implied by the outgoing H^(1) kernel;
 it is documented here and not configurable. The kernel is log-singular at
-r = 0: evaluation requires r > 1e-12 * max(|x|, |xi|), a floor relative to
+r = 0: evaluation requires r > max(|1e-12 x|, |1e-12 xi|), a floor relative to
 the coordinates (so it holds at any length scale, and r = 0 is always
 rejected), below which SourceCoincidesWithField is raised (no regularized
-self-term is provided).
+self-term is provided). The coordinates are scaled before the norm, so the
+floor cannot overflow. A separation that is not finite (an infinite or NaN
+coordinate, or r beyond the float range) raises DomainError.
 All functions are pure and safe to call concurrently: the memos of
 decompose and wave_parameters only ever return what a fresh call would.
 """
@@ -40,7 +42,7 @@ import math
 
 import numpy as np
 
-from .errors import NonUnitNormal, SourceCoincidesWithField
+from .errors import DomainError, NonUnitNormal, SourceCoincidesWithField
 from .material import QcMaterial, SpectralDecomposition, decompose, wave_parameters
 from .specfun import macdonald_k0_neg_i, macdonald_k1_neg_i
 
@@ -58,7 +60,10 @@ TWO_PI = 2.0 * math.pi
 def _separation(x, xi) -> tuple[float, float, float]:
     x1, x2, xi1, xi2 = float(x[0]), float(x[1]), float(xi[0]), float(xi[1])
     r1, r2 = x1 - xi1, x2 - xi2
-    r, r_min = math.hypot(r1, r2), 1e-12 * max(math.hypot(x1, x2), math.hypot(xi1, xi2))
+    r = math.hypot(r1, r2)
+    r_min = max(math.hypot(1e-12 * x1, 1e-12 * x2), math.hypot(1e-12 * xi1, 1e-12 * xi2))
+    if not r < math.inf:
+        raise DomainError(f"separation of x = {(x1, x2)} and xi = {(xi1, xi2)} is not finite")
     if r <= r_min:
         raise SourceCoincidesWithField(f"field point within {r_min:g} of the source (r = {r:g})")
     return r1, r2, r
@@ -67,7 +72,7 @@ def _separation(x, xi) -> tuple[float, float, float]:
 def check_normal(n) -> tuple[float, float]:
     """Return n as (n1, n2); raise NonUnitNormal unless |n| = 1 to 1e-12."""
     n1, n2 = float(n[0]), float(n[1])
-    if abs(math.hypot(n1, n2) - 1.0) > 1e-12:
+    if not abs(math.hypot(n1, n2) - 1.0) <= 1e-12:
         raise NonUnitNormal(f"normal {n} does not have unit length")
     return n1, n2
 

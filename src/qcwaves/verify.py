@@ -6,27 +6,28 @@ traction-free boundaries) through a route independent of the kernel
 algebra: finite-difference stencils, contour quadrature, closed isotropic
 forms coded directly, or plain re-evaluation with swapped arguments.
 
-All checks are deterministic: random sampling uses an explicit seed
-(DEFAULT_SEED unless overridden) that is recorded in the returned report,
-and aggregation is order-independent, so reports are reproducible bit for
-bit. Every reduction is ``_worst``, a max that returns NaN if any value is
-NaN (the builtin ``max(0.0, nan)`` is 0.0), so a NaN result fails its check.
+All checks are deterministic: random sampling draws from the generator
+the caller passes, and aggregation is order-independent, so reports are
+reproducible bit for bit. Every reduction is ``_worst``, a max that returns
+NaN if any value is NaN (the builtin ``max(0.0, nan)`` is 0.0), so a NaN
+result fails its check.
 
 ``SUITES`` maps each ``qcwaves verify`` suite name to a runner
-``(m, omega, rng, seed) -> dict`` that samples its layout from ``rng`` and
+``(m, omega, rng) -> dict`` that samples its layout from ``rng`` and
 reports a ``status`` ("pass", "fail", "skipped"), the measured values and
-their tolerances.
+their tolerances. ``run`` is the whole ``qcwaves verify`` run: it seeds
+each (omega, suite) pair with its own generator and yields the records.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import RadiusTooLarge, StencilOutOfDomain
+from .errors import RadiusTooLarge, StencilOutOfDomain, ValidationError
 from .freefield import IncidentWave, freefield_traction, fullplane_incident
 from .halfplane import green_displacement, green_traction, image_point
 from .kernels import fundamental_displacement, fundamental_traction
@@ -53,6 +54,8 @@ __all__ = [
     "reciprocity_check",
     "decoupling_check",
     "boundary_traction_scan",
+    "run",
+    "all_passed",
 ]
 
 DEFAULT_SEED = 20240517
@@ -84,9 +87,6 @@ class ResidualReport:
     relative_residual: float
     degenerate_reference: bool = False
 
-    def to_dict(self) -> dict:
-        return {**asdict(self), "point": list(self.point)}
-
 
 @dataclass(frozen=True)
 class FluxReport:
@@ -98,28 +98,13 @@ class FluxReport:
     deviation: float
     area_term: Optional[np.ndarray] = None
 
-    def to_dict(self) -> dict:
-        out = {
-            "radius": self.radius,
-            "n_nodes": self.n_nodes,
-            "flux": [[[z.real, z.imag] for z in row] for row in self.flux],
-            "deviation_from_minus_identity": self.deviation,
-        }
-        if self.area_term is not None:
-            out["area_term"] = [[[z.real, z.imag] for z in row] for row in self.area_term]
-        return out
-
 
 @dataclass(frozen=True)
 class ReciprocityReport:
     passed: bool
     max_deviation: float
     sample_count: int
-    seed: int
     tolerance: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -128,9 +113,6 @@ class DecouplingReport:
     max_relative_error: float
     n_points: int
     tolerance: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _worst(*values: float) -> float:
@@ -247,15 +229,12 @@ def dirac_flux(
                       area_term=area)
 
 
-def reciprocity_check(
-    m: QcMaterial,
-    omega: float,
-    sample_count: int = 100,
-    seed: int = DEFAULT_SEED,
-) -> ReciprocityReport:
-    """Check v*_12 = v*_21 and v*(x, xi) = v*(xi, x) over random point pairs."""
+def reciprocity_check(m: QcMaterial, omega: float, rng: np.random.Generator,
+                      sample_count: int = 100) -> ReciprocityReport:
+    """Check v*_12 = v*_21 and v*(x, xi) = v*(xi, x) over point pairs drawn from rng."""
+    if sample_count < 1:
+        raise ValueError(f"need sample_count >= 1; got {sample_count}")
     lam = _slow_wavelength(m, omega)
-    rng = np.random.default_rng(seed)
     worst = 0.0
     drawn = 0
     while drawn < sample_count:
@@ -274,7 +253,6 @@ def reciprocity_check(
         passed=bool(worst < RECIPROCITY_TOLERANCE),
         max_deviation=worst,
         sample_count=sample_count,
-        seed=seed,
         tolerance=RECIPROCITY_TOLERANCE,
     )
 
@@ -290,6 +268,13 @@ def _isotropic_pair(m: QcMaterial, omega: float, r: float) -> tuple[complex, com
     )
 
 
+def _diagonal_errors(v: np.ndarray, u: complex, w: complex) -> tuple[float, ...]:
+    """Entry errors of the 2x2 v against diag(u, w), relative to max(|u|, |w|)."""
+    scale = max(abs(u), abs(w))
+    return (float(abs(v[0, 0] - u) / scale), float(abs(v[1, 1] - w) / scale),
+            float(abs(v[0, 1]) / scale), float(abs(v[1, 0]) / scale))
+
+
 def decoupling_check(
     m: QcMaterial,
     omega: float,
@@ -301,43 +286,28 @@ def decoupling_check(
     The fundamental solution must be diagonal with entries
     K0(-i k r)/(2 pi c44) and K0(-i k r)/(2 pi K2); when the source lies in
     the half-plane, points with x2 <= 0 are additionally checked against the
-    image-sum Green's form. Raises ValueError for R3 != 0.
+    image-sum Green's form. Raises ValueError for R3 != 0 or no points.
     """
     if m.R3 != 0.0:
         raise ValueError(f"decoupling check requires R3 = 0; got R3 = {m.R3}")
+    if len(points) < 1:
+        raise ValueError("need at least one point")
     validate(m)
     worst = 0.0
-    n_checked = 0
     half_plane_source = float(xi[1]) < 0.0
     for p in points:
         r = math.dist(p, xi)
         u_iso, w_iso = _isotropic_pair(m, omega, r)
         v = fundamental_displacement(m, p, xi, omega)
-        scale = max(abs(u_iso), abs(w_iso))
-        worst = _worst(
-            worst,
-            float(abs(v[0, 0] - u_iso) / scale),
-            float(abs(v[1, 1] - w_iso) / scale),
-            float(abs(v[0, 1]) / scale),
-            float(abs(v[1, 0]) / scale),
-        )
+        worst = _worst(worst, *_diagonal_errors(v, u_iso, w_iso))
         if half_plane_source and float(p[1]) <= 0.0:
-            r_im = math.dist(p, image_point(xi))
-            u_im, w_im = _isotropic_pair(m, omega, r_im)
+            u_im, w_im = _isotropic_pair(m, omega, math.dist(p, image_point(xi)))
             g = green_displacement(m, p, xi, omega)
-            g_scale = max(abs(u_iso + u_im), abs(w_iso + w_im))
-            worst = _worst(
-                worst,
-                float(abs(g[0, 0] - (u_iso + u_im)) / g_scale),
-                float(abs(g[1, 1] - (w_iso + w_im)) / g_scale),
-                float(abs(g[0, 1]) / g_scale),
-                float(abs(g[1, 0]) / g_scale),
-            )
-        n_checked += 1
+            worst = _worst(worst, *_diagonal_errors(g, u_iso + u_im, w_iso + w_im))
     return DecouplingReport(
         passed=bool(worst < DECOUPLING_TOLERANCE),
         max_relative_error=float(worst),
-        n_points=n_checked,
+        n_points=len(points),
         tolerance=DECOUPLING_TOLERANCE,
     )
 
@@ -355,8 +325,10 @@ def boundary_traction_scan(
     the single-source traction at the same point. For an IncidentWave, scans
     the half-plane free field normalized by the incident wave alone;
     ``include_reflection=False`` scans the unreflected incident wave instead
-    (negative control: the result is then O(1)).
+    (negative control: the result is then O(1)). Raises ValueError for n_points < 1.
     """
+    if n_points < 1:
+        raise ValueError(f"need n_points >= 1; got {n_points}")
     lam = _slow_wavelength(m, omega)
     normal = (0.0, 1.0)
     worst = 0.0
@@ -383,7 +355,7 @@ def _random_wave(mode: str, rng) -> IncidentWave:
     return IncidentWave(mode=mode, amplitude=1.0 + 0.0j, phi=rng.uniform(0.1, 1.4))
 
 
-def _pde_residual_suite(m: QcMaterial, omega: float, rng, seed: int) -> dict:
+def _pde_residual_suite(m: QcMaterial, omega: float, rng) -> dict:
     d = decompose(m)
     wp = wave_parameters(d, m.rho, omega)
     xi = (0.0, 0.0)
@@ -420,7 +392,7 @@ def _pde_residual_suite(m: QcMaterial, omega: float, rng, seed: int) -> dict:
     }
 
 
-def _dirac_flux_suite(m: QcMaterial, omega: float, rng, seed: int) -> dict:
+def _dirac_flux_suite(m: QcMaterial, omega: float, rng) -> dict:
     eps = 1e-3 / wave_parameters(decompose(m), m.rho, omega).k2
     deviations = [dirac_flux(m, (0.0, 0.0), omega, eps / 2**i, n_nodes=256).deviation
                   for i in range(4)]
@@ -434,22 +406,22 @@ def _dirac_flux_suite(m: QcMaterial, omega: float, rng, seed: int) -> dict:
     }
 
 
-def _reciprocity_suite(m: QcMaterial, omega: float, rng, seed: int) -> dict:
-    rep = reciprocity_check(m, omega, sample_count=100, seed=seed)
-    return {"status": "pass" if rep.passed else "fail", **rep.to_dict()}
+def _reciprocity_suite(m: QcMaterial, omega: float, rng) -> dict:
+    rep = reciprocity_check(m, omega, rng, sample_count=100)
+    return {"status": "pass" if rep.passed else "fail", **asdict(rep)}
 
 
-def _decoupling_suite(m: QcMaterial, omega: float, rng, seed: int) -> dict:
+def _decoupling_suite(m: QcMaterial, omega: float, rng) -> dict:
     if m.R3 != 0.0:
         return {"status": "skipped", "note": f"requires R3 = 0; material has R3 = {m.R3:g}"}
     lam = _slow_wavelength(m, omega)
     points = [(rng.uniform(-2 * lam, 2 * lam), rng.uniform(-2 * lam, -0.01 * lam))
               for _ in range(20)]
     rep = decoupling_check(m, omega, points, xi=(0.0, -lam))
-    return {"status": "pass" if rep.passed else "fail", **rep.to_dict()}
+    return {"status": "pass" if rep.passed else "fail", **asdict(rep)}
 
 
-def _boundary_scan_suite(m: QcMaterial, omega: float, rng, seed: int) -> dict:
+def _boundary_scan_suite(m: QcMaterial, omega: float, rng) -> dict:
     lam = _slow_wavelength(m, omega)
     green_worst = 0.0
     for _ in range(5):
@@ -471,10 +443,35 @@ def _boundary_scan_suite(m: QcMaterial, omega: float, rng, seed: int) -> dict:
 
 # The suites ``qcwaves verify`` runs, in their default order. (The annotation
 # is not evaluated, so importing this module does not import numpy.random.)
-SUITES: dict[str, Callable[[QcMaterial, float, np.random.Generator, int], dict]] = {
+SUITES: dict[str, Callable[[QcMaterial, float, np.random.Generator], dict]] = {
     "pde-residual": _pde_residual_suite,
     "dirac-flux": _dirac_flux_suite,
     "reciprocity": _reciprocity_suite,
     "decoupling": _decoupling_suite,
     "boundary-scan": _boundary_scan_suite,
 }
+
+
+def run(m: QcMaterial, omegas: Sequence[float], suites: Sequence[str] = tuple(SUITES),
+        seed: int = DEFAULT_SEED) -> Iterator[dict]:
+    """Yield the record ``{"name", **runner(m, omega, rng), "omega"}`` of each suite at each omega.
+
+    Each (omega, suite) pair draws from ``np.random.default_rng((seed, k))``, k the suite's
+    position in SUITES, so a record depends only on m, omega, the suite and the seed, not on
+    which suites run or in what order. An unknown suite name or a negative seed raises
+    ValidationError before any suite runs.
+    """
+    for name in suites:
+        if name not in SUITES:
+            raise ValidationError(f"unknown suite {name!r}; choose from {tuple(SUITES)}")
+    if seed < 0:
+        raise ValidationError(f"--seed must be >= 0; got {seed}")
+    for omega in omegas:
+        for name in suites:
+            rng = np.random.default_rng((seed, list(SUITES).index(name)))
+            yield {"name": name, **SUITES[name](m, omega, rng), "omega": omega}
+
+
+def all_passed(records) -> bool:
+    """The pass rule of a verify run: no record failed (a skipped suite does not fail)."""
+    return all(r["status"] != "fail" for r in records)

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -231,7 +232,7 @@ class TestVerify:
                          "--suite", "nonsense"]) == 2
 
     def test_failed_check_exits_four(self, material_file, monkeypatch):
-        def failing(m, omega, rng, seed):
+        def failing(m, omega, rng):
             return {"name": "reciprocity", "status": "fail"}
 
         monkeypatch.setitem(verify.SUITES, "reciprocity", failing)
@@ -264,6 +265,36 @@ class TestVerify:
         a, b = (json.load(open(p)) for p in paths)
         assert a == b
         assert a["seed"] == 123
+
+    def test_unknown_suite_is_named_before_a_bad_seed(self, material_file, capsys):
+        assert cli.main(["verify", "--material", material_file, "--suite",
+                         "reciprocity,nonsense", "--seed", "-1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == (f"error: unknown suite 'nonsense'; choose from "
+                                     f"{tuple(verify.SUITES)}\n")
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("r3", [None, 0.0])  # the demo material and its R3 = 0 copy
+    def test_record_does_not_depend_on_the_suite_list(self, tmp_path, seed, r3):
+        doc = json.loads((Path(__file__).parent.parent / "demos" / "material.json").read_text())
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc if r3 is None else {**doc, "R3": r3}))
+
+        def checks(names):
+            report = tmp_path / "r.json"
+            cli.main(["verify", "--material", str(path), "--omega", "1e4,1e6",
+                      "--suite", ",".join(names), "--seed", str(seed), "--report", str(report)])
+            return json.loads(report.read_text())["checks"]
+
+        full = checks(verify.SUITES)
+        by_key = {(c["name"], c["omega"]): c for c in full}
+        reverse = {(c["name"], c["omega"]): c for c in checks(reversed(verify.SUITES))}
+        assert reverse == by_key
+        for name in verify.SUITES:
+            for check in checks([name]):
+                assert check == by_key[(name, check["omega"])]
+        assert list(verify.run(load_material(path), [1e4, 1e6], tuple(verify.SUITES), seed)) \
+            == full
 
 
 class TestScenarioParsing:

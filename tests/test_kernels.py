@@ -6,14 +6,18 @@ import numpy as np
 import pytest
 
 from qcwaves import (
+    DomainError,
+    IncidentWave,
     NonUnitNormal,
     QcMaterial,
     SourceCoincidesWithField,
     decompose,
+    freefield_traction,
     fundamental_displacement,
     fundamental_gradient,
     fundamental_stress,
     fundamental_traction,
+    green_traction,
     macdonald_k0_neg_i,
     macdonald_k1_neg_i,
     pde_residual,
@@ -73,6 +77,22 @@ def test_coincidence_floor_scales_with_the_geometry():
     v = fundamental_displacement(M, (3e-150, -1e-150), (1e-150, 0.0), OMEGA * 1e150)
     ref = fundamental_displacement(M, (3.0, -1.0), (1.0, 0.0), OMEGA)
     assert np.max(np.abs(v - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("x, xi", [
+    ((math.inf, 0.0), (0.0, 0.0)),  # an infinite coordinate: r = inf
+    ((math.nan, 0.0), (0.0, 0.0)),  # a NaN coordinate: r = nan
+    ((0.0, 0.0), (-1.7e308, -1.7e308)),  # finite points whose separation overflows
+])
+def test_non_finite_separation_is_a_named_domain_error(x, xi):
+    with pytest.raises(DomainError, match=r"separation of x = .* and xi = .* is not finite"):
+        fundamental_displacement(M, x, xi, OMEGA)
+
+
+def test_coincidence_floor_does_not_overflow():
+    # r = 1e307 is far above the floor, though 1e-12 * |x| overflows when the norm comes first
+    v = fundamental_displacement(M, (1.7e308, 1.7e308), (1.7e308, 1.6e308), 1e-305)
+    assert v.shape == (2, 2) and np.all(np.isfinite(v))
 
 
 class TestGradient:
@@ -158,6 +178,16 @@ class TestTraction:
     def test_non_unit_normal_rejected(self):
         with pytest.raises(NonUnitNormal):
             fundamental_traction(M, (1.0, 1.0), XI, OMEGA, (1.0, 1.0))
+
+    @pytest.mark.parametrize("n", [(math.nan, 1.0), (1.0, math.nan)])
+    def test_nan_normal_rejected(self, n):
+        # |n| - 1 = nan compares false against any tolerance
+        with pytest.raises(NonUnitNormal):
+            fundamental_traction(M, (1e-3, 0.0), (0.0, 0.0), 1e6, n)
+        with pytest.raises(NonUnitNormal):
+            green_traction(M, (1e-3, 0.0), (0.0, -1e-3), 1e6, n)
+        with pytest.raises(NonUnitNormal):
+            freefield_traction(M, IncidentWave("S1", 1.0, 0.6), 1e6, (1e-3, -1e-3), n)
 
     def test_normal_tolerance(self):
         n = (math.cos(0.3), math.sin(0.3))

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from qcwaves import (
     QcMaterial,
     RadiusTooLarge,
     StencilOutOfDomain,
+    ValidationError,
     boundary_traction_scan,
     decompose,
     decoupling_check,
@@ -121,13 +123,22 @@ class TestDiracFlux:
 
 class TestReciprocity:
     def test_passes_on_valid_material(self):
-        rep = reciprocity_check(M, OMEGA, sample_count=100, seed=5)
+        rep = reciprocity_check(M, OMEGA, np.random.default_rng(5), sample_count=100)
         assert rep.passed and rep.max_deviation < 1e-12
 
     def test_deterministic_given_seed(self):
-        a = reciprocity_check(M, OMEGA, sample_count=50, seed=9)
-        b = reciprocity_check(M, OMEGA, sample_count=50, seed=9)
+        a = reciprocity_check(M, OMEGA, np.random.default_rng(9), sample_count=50)
+        b = reciprocity_check(M, OMEGA, np.random.default_rng(9), sample_count=50)
         assert a == b
+
+    def test_samples_from_the_given_generator(self):
+        rng = np.random.default_rng(9)
+        reciprocity_check(M, OMEGA, rng, sample_count=3)
+        assert rng.bit_generator.state != np.random.default_rng(9).bit_generator.state
+
+    def test_zero_samples_rejected(self):
+        with pytest.raises(ValueError, match="sample_count"):
+            reciprocity_check(M, OMEGA, np.random.default_rng(0), sample_count=0)
 
     def test_broken_kernel_fails(self, monkeypatch):
         # negative control: flip the sign of one off-diagonal entry
@@ -139,7 +150,7 @@ class TestReciprocity:
             return v
 
         monkeypatch.setattr(qcwaves.verify, "fundamental_displacement", broken)
-        rep = reciprocity_check(M, OMEGA, sample_count=20, seed=5)
+        rep = reciprocity_check(M, OMEGA, np.random.default_rng(5), sample_count=20)
         assert not rep.passed
 
 
@@ -157,6 +168,10 @@ class TestDecoupling:
     def test_requires_r3_zero(self):
         with pytest.raises(ValueError):
             decoupling_check(M, OMEGA, [(1.0, -1.0)])
+
+    def test_no_points_rejected(self):
+        with pytest.raises(ValueError, match="at least one point"):
+            decoupling_check(M_DECOUPLED, OMEGA, [])
 
 
 class TestBoundaryScan:
@@ -176,20 +191,25 @@ class TestBoundaryScan:
                                        include_reflection=False)
         assert value > 0.5
 
+    @pytest.mark.parametrize("source", [(0.2, -0.9), IncidentWave("S1", 1.0, 0.6)])
+    def test_zero_points_rejected(self, source):
+        with pytest.raises(ValueError, match="n_points"):
+            boundary_traction_scan(M, OMEGA, source, n_points=0)
+
 
 def test_reports_serialize_to_plain_dicts():
     wp = wave_parameters(decompose(M), M.rho, OMEGA)
     flux = dirac_flux(M, (0.0, 0.0), OMEGA, 1e-3 / wp.k2)
-    d = flux.to_dict()
+    d = asdict(flux)
     assert d["n_nodes"] == 256 and len(d["flux"]) == 2
     rep = pde_residual(
         lambda p: fundamental_displacement(M, p, (0.0, 0.0), OMEGA)[:, 0],
         M, OMEGA, (1.0, 0.5),
     )
-    d = rep.to_dict()
+    d = asdict(rep)
     assert set(d) == {"point", "h", "residual_norm", "reference_norm",
                       "relative_residual", "degenerate_reference"}
-    json.dumps(reciprocity_check(M, OMEGA, sample_count=5).to_dict())
+    json.dumps(asdict(reciprocity_check(M, OMEGA, np.random.default_rng(0), sample_count=5)))
     json.dumps(d)
 
 
@@ -208,11 +228,11 @@ class TestNanResult:
 
     @pytest.mark.parametrize("suite", sorted(qcwaves.verify.SUITES))
     def test_every_suite_fails(self, nan_kernels, suite):
-        report = qcwaves.verify.SUITES[suite](M_DECOUPLED, OMEGA, np.random.default_rng(3), 3)
+        report = qcwaves.verify.SUITES[suite](M_DECOUPLED, OMEGA, np.random.default_rng(3))
         assert report["status"] == "fail"
 
     def test_checks_report_nan(self, nan_kernels):
-        rep = reciprocity_check(M, OMEGA, sample_count=5)
+        rep = reciprocity_check(M, OMEGA, np.random.default_rng(0), sample_count=5)
         assert not rep.passed and math.isnan(rep.max_deviation)
         assert math.isnan(boundary_traction_scan(M, OMEGA, (0.2, -0.9), n_points=5))
 
@@ -226,8 +246,23 @@ class TestNanResult:
                                  "--suite", suites]) == 4
 
 
+class TestRun:
+    def test_unknown_suite_rejected_before_any_suite_runs(self, monkeypatch):
+        monkeypatch.setitem(qcwaves.verify.SUITES, "pde-residual",
+                            lambda *args: pytest.fail("a suite ran"))
+        with pytest.raises(ValidationError, match="unknown suite 'nonsense'"):
+            list(qcwaves.verify.run(M, [OMEGA], ["pde-residual", "nonsense"]))
+
+    def test_skipped_suite_does_not_fail(self):
+        records = list(qcwaves.verify.run(M, [OMEGA, 2 * OMEGA], ["decoupling"], seed=3))
+        assert [(r["name"], r["status"], r["omega"]) for r in records] == \
+            [("decoupling", "skipped", OMEGA), ("decoupling", "skipped", 2 * OMEGA)]
+        assert qcwaves.verify.all_passed(records)
+        assert not qcwaves.verify.all_passed(records + [{"status": "fail"}])
+
+
 def test_tolerances_are_the_named_constants():
-    assert reciprocity_check(M, OMEGA, sample_count=5).tolerance == \
+    assert reciprocity_check(M, OMEGA, np.random.default_rng(0), sample_count=5).tolerance == \
         qcwaves.verify.RECIPROCITY_TOLERANCE
     rep = decoupling_check(M_DECOUPLED, OMEGA, [(0.5, -0.5)])
     assert rep.tolerance == qcwaves.verify.DECOUPLING_TOLERANCE
