@@ -12,8 +12,9 @@ Subcommands:
   JSON report.
 
 Exit codes: 0 success, 2 validation/parse error or an output file that
-cannot be written, 3 evaluation error, 4 verification failure. Output paths
-are checked before any input is read, so an unwritable one costs no work.
+cannot be written, 3 evaluation error or running out of memory, 4
+verification failure. Output paths are checked before any input is read, so
+an unwritable one costs no work.
 """
 
 from __future__ import annotations
@@ -173,6 +174,9 @@ def main(argv=None) -> int:
     except OSError as exc:  # inputs are read as ParseError: only an output can fail here
         print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_VALIDATION
+    except MemoryError as exc:  # a grid within MAX_POINTS can still exceed the memory at hand
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
+        return EXIT_EVALUATION
 
 
 if __name__ == "__main__":

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -82,9 +83,14 @@ HALF_PLANE_KINDS = ("green-half", "freefield-half")
 
 MATERIAL_KEYS = ("c44", "R3", "K2", "rho")
 # Largest grid (n1 * n2 points) validate_scenario accepts. sample_rows holds
-# the whole (N, C) float64 array, at most 18 columns: 10**7 points is 1.44 GB.
+# the whole (N, C) float64 array, at most 18 columns, and an evaluation peaks
+# at 290-320 bytes per point (measured at 10**5-10**6 points with traction):
+# about 3.2 GB at 10**7 points. Beyond the memory at hand, cli exits 3.
 MAX_POINTS = 10**7
-_CSV_CHUNK_ROWS = 512  # rows per formatted CSV block: bounds the Python floats alive
+# Rows per formatted CSV block. It bounds the Python objects alive and is the
+# span over which a repeated float (a grid coordinate, a column equal to
+# another) is formatted once: a longer block finds more repeats but holds more.
+_CSV_CHUNK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -369,20 +375,35 @@ def sample_rows(s: Scenario, m: QcMaterial) -> np.ndarray:
     return rows
 
 
+def _format_block(block: np.ndarray) -> str:
+    """CSV lines of a (B, C) block, each distinct float repr'd once."""
+    # matched by bits, not by ==: 0.0 == -0.0 but their reprs differ
+    bits, index = np.unique(block.view(np.int64), return_inverse=True)
+    # repr of builtin float: shortest digits that round-trip exactly
+    text = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
+    return "".join(",".join(row) + "\n" for row in text[index.reshape(block.shape)].tolist())
+
+
 def run_scenario(s: Scenario, m: QcMaterial, out_path, sidecar_path=None) -> int:
     """Validate, evaluate and write the CSV (and optional JSON sidecar).
 
-    Returns the number of data rows written.
+    Returns the number of data rows written. A write that fails once the CSV
+    is open, say with a MemoryError, removes the CSV and the sidecar.
     """
     validate_scenario(s, m)
     rows = sample_rows(s, m)
     header = csv_header(s)
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for start in range(0, len(rows), _CSV_CHUNK_ROWS):
-            # repr of builtin float: shortest digits that round-trip exactly
-            chunk = rows[start:start + _CSV_CHUNK_ROWS].tolist()
-            fh.write("".join(",".join(map(repr, row)) + "\n" for row in chunk))
-    if sidecar_path is not None:
-        _write_json(sidecar_path, m, scenario=scenario_to_dict(s), rows=len(rows))
+    fh = open(out_path, "w", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            fh.write(",".join(header) + "\n")
+            for start in range(0, len(rows), _CSV_CHUNK_ROWS):
+                fh.write(_format_block(rows[start:start + _CSV_CHUNK_ROWS]))
+        if sidecar_path is not None:
+            _write_json(sidecar_path, m, scenario=scenario_to_dict(s), rows=len(rows))
+    except BaseException:
+        for path in (out_path, sidecar_path):
+            if path is not None and os.path.isfile(path):
+                os.remove(path)
+        raise
     return len(rows)

@@ -495,3 +495,60 @@ class TestInputBoundary:
                          "--scenario", write_scenario(tmp_path, doc), "--out", str(out)]) == 3
         assert not out.exists()
         assert "[1e+300, 2.0]" in capsys.readouterr().err
+
+
+class TestOutOfMemory:
+    """Running out of memory exits 3 with one error line and leaves no output."""
+
+    @staticmethod
+    def _fail_second_block(format_block):
+        calls = []
+
+        def failing(block):
+            calls.append(len(block))
+            if len(calls) == 2:  # the CSV is open and holds the first block
+                raise MemoryError("Unable to allocate 72.0 KiB for an array")
+            return format_block(block)
+
+        return failing
+
+    @pytest.mark.parametrize("where", ["sample_rows", "_format_block"])
+    def test_memory_error_exits_three_and_leaves_no_output(self, tmp_path, material_file,
+                                                           monkeypatch, capsys, where):
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate 1.34 GiB for an array")
+
+        patch = (no_memory if where == "sample_rows"
+                 else self._fail_second_block(scenario._format_block))
+        monkeypatch.setattr(scenario, where, patch)
+        out = tmp_path / "field.csv"
+        assert scenario._CSV_CHUNK_ROWS < 30 * 30
+        assert cli.main(["sample", "--material", material_file, "--scenario",
+                         write_scenario(tmp_path, fundamental_scenario(30, 30)),
+                         "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: out of memory: Unable to allocate ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert not out.exists() and not (tmp_path / "field.csv.meta.json").exists()
+
+    def test_bare_memory_error_message(self, tmp_path, material_file, monkeypatch, capsys):
+        def no_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(scenario, "sample_rows", no_memory)
+        assert cli.main(["sample", "--material", material_file, "--scenario",
+                         write_scenario(tmp_path, fundamental_scenario(3, 3)),
+                         "--out", str(tmp_path / "field.csv")]) == 3
+        assert capsys.readouterr().err == "error: out of memory\n"
+
+    def test_failed_sidecar_removes_the_csv(self, tmp_path, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(scenario, "_write_json", no_memory)
+        m = QcMaterial(c44=2.0, R3=1.0, K2=2.0, rho=1.0)
+        s = Scenario(kind="fundamental", omega=2.0, source=(0.0, 0.0), points=((1.0, 0.5),))
+        out = tmp_path / "f.csv"
+        with pytest.raises(MemoryError):
+            run_scenario(s, m, str(out), str(tmp_path / "f.csv.meta.json"))
+        assert list(tmp_path.iterdir()) == []
