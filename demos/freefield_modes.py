@@ -41,7 +41,7 @@ def main():
     for mode in ("S1", "S2"):
         wave = IncidentWave(mode=mode, amplitude=1.0, phi=phi)
         x = (0.37e-3, -0.81e-3)
-        f = fullplane_incident(m, wave, omega, x).as_array()
+        f = fullplane_incident(m, wave, omega, x)
         k = wp.k1 if mode == "S1" else wp.k2
         residual = m.rho * omega**2 * f - k * k * (m.matrix() @ f)
         rel = np.linalg.norm(residual) / (m.rho * omega**2 * np.linalg.norm(f))
@@ -55,7 +55,7 @@ def main():
         x = (0.0, -depth * lam1)
         f = halfplane_freefield(m, wave, omega, x)
         t = freefield_traction(m, wave, omega, x, (0.0, 1.0), half_plane=True)
-        print(f"{depth:14.2f} {abs(f.u3):10.4f} {abs(f.w3):10.4f} {abs(t[0]):24.3e}")
+        print(f"{depth:14.2f} {abs(f[0]):10.4f} {abs(f[1]):10.4f} {abs(t[0]):24.3e}")
     print("  (|u3| = 2 |A| cos(psi) on the surface: incident + reflected in phase;")
     print("   the traction is identically zero there)")
 

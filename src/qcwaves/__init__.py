@@ -27,7 +27,6 @@ from .errors import (
     ValidationError,
 )
 from .freefield import (
-    FieldValue,
     IncidentWave,
     freefield_stress,
     freefield_traction,
@@ -51,8 +50,6 @@ from .material import (
     wave_parameters,
 )
 from .specfun import (
-    bessel_y0,
-    bessel_y1,
     hankel1_0,
     hankel1_1,
     macdonald_k0_neg_i,
@@ -60,10 +57,6 @@ from .specfun import (
 )
 from .verify import (
     DEFAULT_SEED,
-    DecouplingReport,
-    FluxReport,
-    ReciprocityReport,
-    ResidualReport,
     boundary_traction_scan,
     decoupling_check,
     default_step,

@@ -74,6 +74,7 @@ def _check_writable(*paths: str | None) -> None:
 
 def cmd_decompose(args) -> int:
     m = load_material(args.material)
+    omegas = _parse_omegas(args.omega) if args.omega else []  # rejected before any output
     d = decompose(m)
     print(f"material: c44={m.c44:g} Pa  R3={m.R3:g} Pa  K2={m.K2:g} Pa  rho={m.rho:g} kg/m^3")
     print(f"a1 = {d.a1:.12g} Pa")
@@ -82,8 +83,7 @@ def cmd_decompose(args) -> int:
     if m.R3 == 0.0:
         note = "  (R3 = 0: angle set by continuity rule)"
     print(f"psi = {d.psi:.12g} rad = {math.degrees(d.psi):.10g} deg{note}")
-    if args.omega:
-        omegas = _parse_omegas(args.omega)
+    if omegas:
         print(f"{'omega [rad/s]':>16} {'k1 [1/m]':>16} {'k2 [1/m]':>16} "
               f"{'c1 [m/s]':>12} {'c2 [m/s]':>12}")
         for omega in omegas:

@@ -45,7 +45,6 @@ from .material import QcMaterial, decompose, wave_parameters
 
 __all__ = [
     "IncidentWave",
-    "FieldValue",
     "mode_vector",
     "fullplane_incident",
     "halfplane_freefield",
@@ -79,18 +78,6 @@ class IncidentWave:
             )
         if not cmath.isfinite(self.amplitude):
             raise ValueError(f"amplitude must be finite; got {self.amplitude}")
-
-
-@dataclass(frozen=True)
-class FieldValue:
-    """Complex phonon and phason displacements: complex at one point, shape (N,) at N."""
-
-    u3: complex
-    w3: complex
-
-    def as_array(self) -> np.ndarray:
-        """(u3, w3) with shape (2,) at one point, (N, 2) at N points."""
-        return np.stack([self.u3, self.w3], axis=-1)
 
 
 def mode_vector(m: QcMaterial, mode: str) -> np.ndarray:
@@ -140,20 +127,19 @@ def _complex(z: np.ndarray, single: bool) -> np.ndarray:
     return z[0] if single else z
 
 
-def _field(m: QcMaterial, wave: IncidentWave, omega: float, x, half_plane: bool) -> FieldValue:
+def _field(m: QcMaterial, wave: IncidentWave, omega: float, x, half_plane: bool) -> np.ndarray:
     _, _, zeta, _, e, single = _plane_wave(m, wave, omega, x, half_plane)
     a = _times(wave.amplitude, e.sum(axis=0))
-    u3, w3 = _complex(np.stack([_times(z, a) for z in zeta], axis=1), single).T
-    return FieldValue(complex(u3), complex(w3)) if single else FieldValue(u3, w3)
+    return _complex(np.stack([_times(z, a) for z in zeta], axis=1), single)
 
 
-def fullplane_incident(m: QcMaterial, wave: IncidentWave, omega: float, x) -> FieldValue:
-    """Incident plane wave in the full plane at the point(s) x."""
+def fullplane_incident(m: QcMaterial, wave: IncidentWave, omega: float, x) -> np.ndarray:
+    """Incident plane wave (u3, w3) in the full plane: (2,), or (N, 2) at N points."""
     return _field(m, wave, omega, x, half_plane=False)
 
 
-def halfplane_freefield(m: QcMaterial, wave: IncidentWave, omega: float, x) -> FieldValue:
-    """Incident plus reflected wave in the half-plane x2 <= 0 at the point(s) x."""
+def halfplane_freefield(m: QcMaterial, wave: IncidentWave, omega: float, x) -> np.ndarray:
+    """Incident plus reflected wave (u3, w3) in the half-plane x2 <= 0: (2,), or (N, 2)."""
     return _field(m, wave, omega, x, half_plane=True)
 
 

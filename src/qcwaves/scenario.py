@@ -83,10 +83,12 @@ HALF_PLANE_KINDS = ("green-half", "freefield-half")
 
 MATERIAL_KEYS = ("c44", "R3", "K2", "rho")
 # Largest grid (n1 * n2 points) validate_scenario accepts. sample_rows holds
-# the whole (N, C) float64 array, at most 18 columns, and an evaluation peaks
-# at 290-320 bytes per point (measured at 10**5-10**6 points with traction):
-# about 3.2 GB at 10**7 points. Beyond the memory at hand, cli exits 3.
+# the whole (N, C) float64 array, at most 18 columns. With traction it peaks at
+# 290-320 bytes per point for a point source (3.2 GB at 10**7 points) and at
+# 110 for a free field (tracemalloc, 10**6 points), whose plane-wave
+# temporaries _FREEFIELD_SLICE bounds. Beyond the memory at hand, cli exits 3.
 MAX_POINTS = 10**7
+_FREEFIELD_SLICE = 2**16  # points per free-field evaluation
 # Rows per formatted CSV block. It bounds the Python objects alive and is the
 # span over which a repeated float (a grid coordinate, a column equal to
 # another) is formatted once: a longer block finds more repeats but holds more.
@@ -128,7 +130,7 @@ def _number(value, key: str, where: str) -> float:
 
 def _check_schema_version(doc: dict, where: str) -> None:
     version = _require(doc, "schema_version", where)
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:  # not True, 1.0 or "1"
         raise ParseError(
             f"{where}: unsupported schema_version {version!r} (expected {SCHEMA_VERSION})"
         )
@@ -362,10 +364,12 @@ def sample_rows(s: Scenario, m: QcMaterial) -> np.ndarray:
         field = halfplane_freefield if half_plane else fullplane_incident
         try:  # the library names the first failing point; an overflow, the check below
             with np.errstate(over="ignore", invalid="ignore"):
-                rows[:, 2:6] = field(m, s.wave, s.omega, pts).as_array().view(float)
-                if traction:
-                    rows[:, 6:] = freefield_traction(m, s.wave, s.omega, pts, s.normal,
-                                                     half_plane=half_plane).view(float)
+                for start in range(0, len(pts), _FREEFIELD_SLICE):
+                    part = slice(start, start + _FREEFIELD_SLICE)
+                    rows[part, 2:6] = field(m, s.wave, s.omega, pts[part]).view(float)
+                    if traction:
+                        rows[part, 6:] = freefield_traction(m, s.wave, s.omega, pts[part],
+                                                            s.normal, half_plane).view(float)
         except QcError as exc:
             raise EvaluationError(f"evaluation failed: {exc}") from exc
     finite = np.isfinite(rows).all(axis=1)

@@ -1,9 +1,9 @@
-"""Real-argument cylinder functions Y0, Y1, H0^(1), H1^(1) and the
-imaginary-argument Macdonald values K0(-ix), K1(-ix), implemented in-repo so
-the package is self-contained and the oracle tests test something. J_nu(x)
-is ``hankel1_nu(x).real``.
+"""Real-argument Hankel functions H0^(1), H1^(1) and the imaginary-argument
+Macdonald values K0(-ix), K1(-ix), implemented in-repo so the package is
+self-contained and the oracle tests test something. J_nu(x) is
+``hankel1_nu(x).real`` and Y_nu(x) is ``hankel1_nu(x).imag``.
 
-All six functions are one line over one core, ``_jy(name, nu, x)``, which
+All four functions are one line over one core, ``_jy(name, nu, x)``, which
 checks the domain and returns (J_nu(x), Y_nu(x)) for nu in {0, 1}. Each
 argument costs one Clenshaw pass (DLMF 3.11(ii)) over a frozen table of two
 Chebyshev series, of fixed length per branch (``tools/generate_cylinder_tables.py``
@@ -50,8 +50,6 @@ from . import _cyltables as _T
 from .errors import DomainError
 
 __all__ = [
-    "bessel_y0",
-    "bessel_y1",
     "hankel1_0",
     "hankel1_1",
     "macdonald_k0_neg_i",
@@ -116,16 +114,6 @@ def _jy(name: str, nu: int, x: float) -> tuple[float, float]:
     c, s = (cx + sx, sx - cx) if nu == 0 else (sx - cx, -cx - sx)
     m = _RSQRT_PI / math.sqrt(x)
     return m * (p * c - q * s), m * (p * s + q * c)
-
-
-def bessel_y0(x: float) -> float:
-    """Bessel function of the second kind, order zero, x > 0."""
-    return _jy("bessel_y0", 0, x)[1]
-
-
-def bessel_y1(x: float) -> float:
-    """Bessel function of the second kind, order one, x > 0."""
-    return _jy("bessel_y1", 1, x)[1]
 
 
 def hankel1_0(x: float) -> complex:

@@ -12,17 +12,18 @@ reproducible bit for bit. Every reduction is ``_worst``, a max that returns
 NaN if any value is NaN (the builtin ``max(0.0, nan)`` is 0.0), so a NaN
 result fails its check.
 
-``SUITES`` maps each ``qcwaves verify`` suite name to a runner
-``(m, omega, rng) -> dict`` that samples its layout from ``rng`` and
-reports a ``status`` ("pass", "fail", "skipped"), the measured values and
-their tolerances. ``run`` is the whole ``qcwaves verify`` run: it seeds
+Each check returns what it measured: a worst relative value as a float, or
+for ``dirac_flux`` the 2x2 flux matrix. It decides nothing. ``SUITES`` maps
+each ``qcwaves verify`` suite name to a runner ``(m, omega, rng) -> dict``
+that samples its layout from ``rng``, applies its pass rule and reports a
+``status`` ("pass", "fail", "skipped"), the measured values and their
+tolerances. ``run`` is the whole ``qcwaves verify`` run: it seeds
 each (omega, suite) pair with its own generator and yields the records.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -44,10 +45,6 @@ __all__ = [
     "FREEFIELD_TRACTION_TOLERANCE",
     "RECIPROCITY_TOLERANCE",
     "DECOUPLING_TOLERANCE",
-    "ResidualReport",
-    "FluxReport",
-    "ReciprocityReport",
-    "DecouplingReport",
     "default_step",
     "pde_residual",
     "dirac_flux",
@@ -74,45 +71,6 @@ GREEN_TRACTION_TOLERANCE = 1e-10  # image cancellation relative to one source
 FREEFIELD_TRACTION_TOLERANCE = 1e-13  # exactly zero up to round-off
 RECIPROCITY_TOLERANCE = 1e-12  # symmetric by construction, up to round-off
 DECOUPLING_TOLERANCE = 1e-12  # same K0 values through two routes
-
-
-@dataclass(frozen=True)
-class ResidualReport:
-    """Finite-difference residual of the equations of motion at one point."""
-
-    point: tuple[float, float]
-    h: float
-    residual_norm: float
-    reference_norm: float
-    relative_residual: float
-    degenerate_reference: bool = False
-
-
-@dataclass(frozen=True)
-class FluxReport:
-    """Contour flux of the fundamental traction over a small circle."""
-
-    radius: float
-    n_nodes: int
-    flux: np.ndarray
-    deviation: float
-    area_term: Optional[np.ndarray] = None
-
-
-@dataclass(frozen=True)
-class ReciprocityReport:
-    passed: bool
-    max_deviation: float
-    sample_count: int
-    tolerance: float
-
-
-@dataclass(frozen=True)
-class DecouplingReport:
-    passed: bool
-    max_relative_error: float
-    n_points: int
-    tolerance: float
 
 
 def _worst(*values: float) -> float:
@@ -150,14 +108,15 @@ def pde_residual(
     omega: float,
     at,
     h: Optional[float] = None,
-) -> ResidualReport:
-    """Check C * Laplacian(field) + rho omega^2 field = 0 at a point.
+) -> float:
+    """Relative residual of C * Laplacian(field) + rho omega^2 field = 0 at a point.
 
     The Laplacian is the standard 5-point stencil with step h (default:
     :func:`default_step`). ``field`` maps a point (x1, x2) to the pair
     (u3, w3); evaluation failures on the stencil raise StencilOutOfDomain.
     Both norms are of the equation divided by rho omega^2 (the reference is
-    the field), each scaled by its largest entry: no square overflows.
+    the field), each scaled by its largest entry: no square overflows. A
+    zero field at the point gives 0.0 if the residual is zero too, else inf.
     """
     validate(m)
     if h is None:
@@ -173,9 +132,8 @@ def pde_residual(
     residual = (m.matrix() / m.rho) @ lap + center
     res_norm, ref_norm = _norm(residual), _norm(center)
     if ref_norm == 0.0:
-        rel = 0.0 if res_norm == 0.0 else math.inf
-        return ResidualReport((x1, x2), h, res_norm, ref_norm, rel, degenerate_reference=True)
-    return ResidualReport((x1, x2), h, res_norm, ref_norm, res_norm / ref_norm)
+        return 0.0 if res_norm == 0.0 else math.inf
+    return res_norm / ref_norm
 
 
 def dirac_flux(
@@ -185,15 +143,15 @@ def dirac_flux(
     eps: float,
     n_nodes: int = 256,
     include_area_term: bool = False,
-) -> FluxReport:
-    """Trapezoid contour integral of the fundamental traction over |x-xi| = eps.
+) -> np.ndarray:
+    """Trapezoid contour integral of the fundamental traction over |x-xi| = eps, a 2x2 matrix.
 
     As eps -> 0 the flux tends to -I2 (the Dirac load of the governing
-    system); the deviation is O(eps^2 ln eps) from the omitted inertia term.
-    Requires eps * max(k1, k2) < 0.1 and n_nodes >= 64. With
-    ``include_area_term`` the disk integral of rho omega^2 v* is computed by
-    Gauss-Legendre-in-r x trapezoid-in-theta quadrature and reported
-    separately (flux + area_term is then the full divergence-theorem budget).
+    system); its deviation from -I2 is O(eps^2 ln eps), from the omitted
+    inertia term. Requires eps * max(k1, k2) < 0.1 and n_nodes >= 64. With
+    ``include_area_term`` the disk integral of rho omega^2 v*, by
+    Gauss-Legendre-in-r x trapezoid-in-theta quadrature, is added: the sum
+    is the full divergence-theorem budget, -I2 up to quadrature error.
     """
     wp = wave_parameters(decompose(m), m.rho, omega)
     if not (eps > 0.0) or eps * wp.k2 >= 0.1:
@@ -210,8 +168,6 @@ def dirac_flux(
         n = (math.cos(theta), math.sin(theta))
         x = (xi1 + eps * n[0], xi2 + eps * n[1])
         flux += fundamental_traction(m, x, (xi1, xi2), omega, n) * weight
-    deviation = float(np.linalg.norm(flux + np.eye(2)))
-    area = None
     if include_area_term:
         nodes, weights = np.polynomial.legendre.leggauss(16)
         radii = 0.5 * eps * (nodes + 1.0)
@@ -224,14 +180,14 @@ def dirac_flux(
                 x = (xi1 + r * math.cos(theta), xi2 + r * math.sin(theta))
                 ring += fundamental_displacement(m, x, (xi1, xi2), omega)
             area += ring * (2.0 * math.pi / n_nodes) * r * wr
-        area *= m.rho * omega * omega
-    return FluxReport(radius=eps, n_nodes=n_nodes, flux=flux, deviation=deviation,
-                      area_term=area)
+        flux += area * (m.rho * omega * omega)
+    return flux
 
 
 def reciprocity_check(m: QcMaterial, omega: float, rng: np.random.Generator,
-                      sample_count: int = 100) -> ReciprocityReport:
-    """Check v*_12 = v*_21 and v*(x, xi) = v*(xi, x) over point pairs drawn from rng."""
+                      sample_count: int = 100) -> float:
+    """Worst relative deviation from v*_12 = v*_21 and v*(x, xi) = v*(xi, x) over
+    point pairs drawn from rng."""
     if sample_count < 1:
         raise ValueError(f"need sample_count >= 1; got {sample_count}")
     lam = _slow_wavelength(m, omega)
@@ -249,12 +205,7 @@ def reciprocity_check(m: QcMaterial, omega: float, rng: np.random.Generator,
         scale = float(np.max(np.abs(v_xy)))
         worst = _worst(worst, float(abs(v_xy[0, 1] - v_xy[1, 0]) / scale),
                        float(np.max(np.abs(v_xy - v_yx))) / scale)
-    return ReciprocityReport(
-        passed=bool(worst < RECIPROCITY_TOLERANCE),
-        max_deviation=worst,
-        sample_count=sample_count,
-        tolerance=RECIPROCITY_TOLERANCE,
-    )
+    return worst
 
 
 def _isotropic_pair(m: QcMaterial, omega: float, r: float) -> tuple[complex, complex]:
@@ -280,8 +231,8 @@ def decoupling_check(
     omega: float,
     points: Sequence,
     xi=(0.0, -1.0),
-) -> DecouplingReport:
-    """At R3 = 0, compare kernels against the closed isotropic forms.
+) -> float:
+    """At R3 = 0, the worst relative error of the kernels against the closed isotropic forms.
 
     The fundamental solution must be diagonal with entries
     K0(-i k r)/(2 pi c44) and K0(-i k r)/(2 pi K2); when the source lies in
@@ -304,12 +255,7 @@ def decoupling_check(
             u_im, w_im = _isotropic_pair(m, omega, math.dist(p, image_point(xi)))
             g = green_displacement(m, p, xi, omega)
             worst = _worst(worst, *_diagonal_errors(g, u_iso + u_im, w_iso + w_im))
-    return DecouplingReport(
-        passed=bool(worst < DECOUPLING_TOLERANCE),
-        max_relative_error=float(worst),
-        n_points=len(points),
-        tolerance=DECOUPLING_TOLERANCE,
-    )
+    return worst
 
 
 def boundary_traction_scan(
@@ -367,21 +313,19 @@ def _pde_residual_suite(m: QcMaterial, omega: float, rng) -> dict:
         for col in (0, 1):
             r = kr / k_for_col[col]
             at = (r * math.cos(theta), r * math.sin(theta))
-            rep = pde_residual(
+            worst = _worst(worst, pde_residual(
                 lambda p, col=col: fundamental_displacement(m, p, xi, omega)[:, col],
                 m, omega, at, h=default_step(m, omega, r),
-            )
-            worst = _worst(worst, rep.relative_residual)
+            ))
     lam = _slow_wavelength(m, omega)
     wave_worst = 0.0
     for mode in ("S1", "S2"):
         wave = _random_wave(mode, rng)
         at = tuple(rng.uniform(-lam, lam, size=2))
-        rep = pde_residual(
-            lambda p: fullplane_incident(m, wave, omega, p).as_array(),
+        wave_worst = _worst(wave_worst, pde_residual(
+            lambda p: fullplane_incident(m, wave, omega, p),
             m, omega, at, h=lam / 3000.0,  # smooth field: fine stencil
-        )
-        wave_worst = _worst(wave_worst, rep.relative_residual)
+        ))
     passed = worst < PDE_KERNEL_TOLERANCE and wave_worst < PDE_WAVE_TOLERANCE
     return {
         "status": "pass" if passed else "fail",
@@ -394,7 +338,7 @@ def _pde_residual_suite(m: QcMaterial, omega: float, rng) -> dict:
 
 def _dirac_flux_suite(m: QcMaterial, omega: float, rng) -> dict:
     eps = 1e-3 / wave_parameters(decompose(m), m.rho, omega).k2
-    deviations = [dirac_flux(m, (0.0, 0.0), omega, eps / 2**i, n_nodes=256).deviation
+    deviations = [float(np.linalg.norm(dirac_flux(m, (0.0, 0.0), omega, eps / 2**i) + np.eye(2)))
                   for i in range(4)]
     monotone = all(b < a for a, b in zip(deviations, deviations[1:]))
     return {
@@ -407,8 +351,10 @@ def _dirac_flux_suite(m: QcMaterial, omega: float, rng) -> dict:
 
 
 def _reciprocity_suite(m: QcMaterial, omega: float, rng) -> dict:
-    rep = reciprocity_check(m, omega, rng, sample_count=100)
-    return {"status": "pass" if rep.passed else "fail", **asdict(rep)}
+    count = 100
+    worst = reciprocity_check(m, omega, rng, sample_count=count)
+    return {"status": "pass" if worst < RECIPROCITY_TOLERANCE else "fail",
+            "max_deviation": worst, "sample_count": count, "tolerance": RECIPROCITY_TOLERANCE}
 
 
 def _decoupling_suite(m: QcMaterial, omega: float, rng) -> dict:
@@ -417,8 +363,10 @@ def _decoupling_suite(m: QcMaterial, omega: float, rng) -> dict:
     lam = _slow_wavelength(m, omega)
     points = [(rng.uniform(-2 * lam, 2 * lam), rng.uniform(-2 * lam, -0.01 * lam))
               for _ in range(20)]
-    rep = decoupling_check(m, omega, points, xi=(0.0, -lam))
-    return {"status": "pass" if rep.passed else "fail", **asdict(rep)}
+    worst = decoupling_check(m, omega, points, xi=(0.0, -lam))
+    return {"status": "pass" if worst < DECOUPLING_TOLERANCE else "fail",
+            "max_relative_error": worst, "n_points": len(points),
+            "tolerance": DECOUPLING_TOLERANCE}
 
 
 def _boundary_scan_suite(m: QcMaterial, omega: float, rng) -> dict:

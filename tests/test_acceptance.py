@@ -67,11 +67,17 @@ def test_criterion_02_special_function_oracle():
     def j1(x):
         return specfun.hankel1_1(x).real
 
+    def y0(x):
+        return specfun.hankel1_0(x).imag
+
+    def y1(x):
+        return specfun.hankel1_1(x).imag
+
     pairs = (
         (j0, oracle_j0),
         (j1, oracle_j1),
-        (specfun.bessel_y0, oracle_y0),
-        (specfun.bessel_y1, oracle_y1),
+        (y0, oracle_y0),
+        (y1, oracle_y1),
     )
     worst = 0.0
     for fn, oracle in pairs:
@@ -81,7 +87,7 @@ def test_criterion_02_special_function_oracle():
             worst = max(worst, abs(fn(x) - ref) / abs(ref))
     worst_wronskian = 0.0
     for x in (0.1, 1.0, 10.0, 50.0):
-        w = j1(x) * specfun.bessel_y0(x) - j0(x) * specfun.bessel_y1(x)
+        w = j1(x) * y0(x) - j0(x) * y1(x)
         worst_wronskian = max(worst_wronskian, abs(w - 2.0 / (math.pi * x)) * math.pi * x / 2.0)
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-10 and worst_wronskian < 1e-9 and elapsed < 1.0
@@ -110,11 +116,10 @@ def test_criterion_03_kernel_pde_residual():
             col = int(rng.integers(0, 2))
             r = kr / k_for_col[col]
             at = (r * math.cos(theta), r * math.sin(theta))
-            rep = pde_residual(
+            worst = max(worst, pde_residual(
                 lambda p, col=col: fundamental_displacement(m, p, xi, omega)[:, col],
                 m, omega, at, h=min(lam, r) / 400.0,
-            )
-            worst = max(worst, rep.relative_residual)
+            ))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-4 and elapsed < 5.0
     _report(3, "kernel PDE residual", ok, elapsed, 5.0,
@@ -132,8 +137,8 @@ def test_criterion_04_dirac_normalization():
     for m, omega in zip(materials, (3.0, 2.0 * math.pi * 1e6)):
         wp = wave_parameters(decompose(m), m.rho, omega)
         eps = 1e-3 / wp.k2
-        devs = [dirac_flux(m, (0.1, -0.2), omega, eps / 2**i, n_nodes=256).deviation
-                for i in range(4)]
+        devs = [np.linalg.norm(dirac_flux(m, (0.1, -0.2), omega, eps / 2**i, n_nodes=256)
+                               + np.eye(2)) for i in range(4)]
         worst = max(worst, devs[0])
         monotone = monotone and all(b < a for a, b in zip(devs, devs[1:]))
     elapsed = time.perf_counter() - t0
@@ -200,7 +205,7 @@ def test_criterion_07_decoupling_limit():
     rng = np.random.default_rng(107)
     points = [(rng.uniform(-2, 2) * lam, rng.uniform(-2.0, -0.05) * lam)
               for _ in range(20)]
-    rep = decoupling_check(m0, omega, points, xi=(0.0, -lam))
+    worst = decoupling_check(m0, omega, points, xi=(0.0, -lam))
     x, xi = (1.3, 0.4), (0.0, 0.0)
     offdiag = []
     for r3 in (1e-2, 1e-4, 1e-6):
@@ -209,9 +214,9 @@ def test_criterion_07_decoupling_limit():
         offdiag.append(abs(v[0, 1]))
     monotone = offdiag[0] > offdiag[1] > offdiag[2]
     elapsed = time.perf_counter() - t0
-    ok = rep.passed and monotone and elapsed < 2.0
+    ok = worst < 1e-12 and monotone and elapsed < 2.0
     _report(7, "decoupling limit", ok, elapsed, 2.0,
-            f"closed-form max rel err {rep.max_relative_error:.2e} (tol 1e-12), "
+            f"closed-form max rel err {worst:.2e} (tol 1e-12), "
             f"off-diagonal decay {offdiag[0]:.1e} > {offdiag[1]:.1e} > {offdiag[2]:.1e}")
 
 

@@ -161,7 +161,7 @@ class TestSample:
         m = QcMaterial(**{k: MATERIAL[k] for k in ("c44", "R3", "K2", "rho")})
         s = load_scenario(scenario_path)
         f = halfplane_freefield(m, s.wave, 3.0, (0.3, -0.8))
-        assert vals[2:] == [f.u3.real, f.u3.imag, f.w3.real, f.w3.imag]
+        assert vals[2:] == [f[0].real, f[0].imag, f[1].real, f[1].imag]
 
     def test_malformed_scenario_is_parse_error(self, tmp_path, material_file):
         path = tmp_path / "bad.json"
@@ -195,6 +195,12 @@ class TestDecompose:
         assert cli.main(["decompose", "--material", material_file, "--omega", "1.0,2.0"]) == 0
         out = capsys.readouterr().out
         assert f"{1.0 / math.sqrt(3.0):.10g}"[:8] in out
+
+    @pytest.mark.parametrize("omega", ["1e6,abc", "1e6,-1"])
+    def test_bad_omega_prints_nothing(self, material_file, capsys, omega):
+        assert cli.main(["decompose", "--material", material_file, "--omega", omega]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "omega" in captured.err
 
 
 class TestVerify:
@@ -297,13 +303,32 @@ class TestVerify:
             == full
 
 
+BAD_VERSIONS = pytest.mark.parametrize("version", [99, True, 1.0, "1"],
+                                       ids=["99", "true", "1.0", "string"])
+
+
 class TestScenarioParsing:
-    def test_unsupported_schema_version(self, tmp_path, material_file):
+    @BAD_VERSIONS
+    def test_unsupported_schema_version(self, tmp_path, material_file, capsys, version):
         doc = fundamental_scenario()
-        doc["schema_version"] = 99
+        doc["schema_version"] = version
         path = write_scenario(tmp_path, doc)
+        out = tmp_path / "x.csv"
         assert cli.main(["sample", "--material", material_file, "--scenario", path,
-                         "--out", str(tmp_path / "x.csv")]) == 2
+                         "--out", str(out)]) == 2
+        assert "schema_version" in capsys.readouterr().err
+        assert not out.exists()
+
+    @BAD_VERSIONS
+    def test_unsupported_material_schema_version(self, tmp_path, capsys, version):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({**MATERIAL, "schema_version": version}))
+        scenario_path = write_scenario(tmp_path, fundamental_scenario(2, 2))
+        out = tmp_path / "x.csv"
+        assert cli.main(["sample", "--material", str(path), "--scenario", scenario_path,
+                         "--out", str(out)]) == 2
+        assert "schema_version" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_grid_and_points_are_exclusive(self):
         doc = fundamental_scenario()

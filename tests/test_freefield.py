@@ -2,10 +2,12 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import qcwaves.scenario as scenario
 from qcwaves import (
     IncidentWave,
     NonUnitNormal,
@@ -38,9 +40,9 @@ def dispersion_residual(m, wave, omega, x, half_plane=False):
     wp = wave_parameters(d, m.rho, omega)
     k = wp.k1 if wave.mode == "S1" else wp.k2
     if half_plane:
-        f = halfplane_freefield(m, wave, omega, x).as_array()
+        f = halfplane_freefield(m, wave, omega, x)
     else:
-        f = fullplane_incident(m, wave, omega, x).as_array()
+        f = fullplane_incident(m, wave, omega, x)
     residual = m.rho * omega * omega * f - k * k * (m.matrix() @ f)
     reference = m.rho * omega * omega * np.linalg.norm(f)
     return np.linalg.norm(residual) / reference
@@ -94,15 +96,15 @@ class TestFullPlane:
     def test_value_at_origin(self):
         f = fullplane_incident(M, WAVE1, OMEGA, (0.0, 0.0))
         zeta = mode_vector(M, "S1")
-        assert f.u3 == WAVE1.amplitude * zeta[0]
-        assert f.w3 == WAVE1.amplitude * zeta[1]
+        assert f[0] == WAVE1.amplitude * zeta[0]
+        assert f[1] == WAVE1.amplitude * zeta[1]
 
     def test_pure_phase_propagation(self):
         rng = np.random.default_rng(47)
         for _ in range(20):
             x = rng.uniform(-5.0, 5.0, size=2)
             f = fullplane_incident(M, WAVE2, OMEGA, x)
-            power = abs(f.u3) ** 2 + abs(f.w3) ** 2
+            power = abs(f[0]) ** 2 + abs(f[1]) ** 2
             assert power == pytest.approx(abs(WAVE2.amplitude) ** 2, rel=1e-13)
 
     def test_dispersion_exactness(self):
@@ -124,8 +126,8 @@ class TestHalfPlane:
         for x1 in (-2.0, 0.0, 3.7):
             full = fullplane_incident(M, WAVE1, OMEGA, (x1, 0.0))
             half = halfplane_freefield(M, WAVE1, OMEGA, (x1, 0.0))
-            assert half.u3 == 2.0 * full.u3
-            assert half.w3 == 2.0 * full.w3
+            assert half[0] == 2.0 * full[0]
+            assert half[1] == 2.0 * full[1]
 
     def test_antinode_depth(self):
         # at x2 = -pi/(k sin phi) the bracket is e^{-i pi} + e^{i pi} = -2
@@ -135,8 +137,8 @@ class TestHalfPlane:
         f = halfplane_freefield(M, WAVE1, OMEGA, x)
         zeta = mode_vector(M, "S1")
         expected = -2.0 * WAVE1.amplitude * zeta
-        assert abs(f.u3 - expected[0]) < 1e-12 * abs(expected[0])
-        assert abs(f.w3 - expected[1]) < 1e-12 * abs(expected[1])
+        assert abs(f[0] - expected[0]) < 1e-12 * abs(expected[0])
+        assert abs(f[1] - expected[1]) < 1e-12 * abs(expected[1])
 
     def test_equals_incident_plus_reflected(self):
         # the reflected wave is itself a full-plane solution with the
@@ -148,11 +150,11 @@ class TestHalfPlane:
         rng = np.random.default_rng(59)
         for _ in range(10):
             x = (rng.uniform(-3, 3), rng.uniform(-3, 0))
-            incident = fullplane_incident(M, WAVE2, OMEGA, x).as_array()
+            incident = fullplane_incident(M, WAVE2, OMEGA, x)
             reflected = WAVE2.amplitude * zeta * cmath.exp(
                 1j * k * (x[0] * c - x[1] * s)
             )
-            half = halfplane_freefield(M, WAVE2, OMEGA, x).as_array()
+            half = halfplane_freefield(M, WAVE2, OMEGA, x)
             assert np.max(np.abs(half - (incident + reflected))) <= 1e-15 * np.max(
                 np.abs(half)
             )
@@ -208,8 +210,8 @@ class TestStressAndTraction:
             else:
                 fp = fullplane_incident(M, WAVE2, OMEGA, (x[0] + e[0], x[1] + e[1]))
                 fm = fullplane_incident(M, WAVE2, OMEGA, (x[0] - e[0], x[1] - e[1]))
-            du = (fp.u3 - fm.u3) / (2.0 * h)
-            dw = (fp.w3 - fm.w3) / (2.0 * h)
+            du = (fp[0] - fm[0]) / (2.0 * h)
+            dw = (fp[1] - fm[1]) / (2.0 * h)
             sigma_fd = M.c44 * du + M.R3 * dw
             h_fd = M.R3 * du + M.K2 * dw
             assert abs(sigma_fd - sigma[j]) < 1e-6 * max(abs(sigma[j]), 1.0)
@@ -230,30 +232,62 @@ class TestArrayPoints:
     """An (N, 2) call is N one-point calls through the same code: equal bit for bit."""
 
     @pytest.mark.parametrize("wave", [WAVE1, WAVE2], ids=["S1", "S2"])
-    def test_rows_equal_single_point_calls(self, wave):
+    def test_rows_equal_single_point_calls(self, wave, monkeypatch):
+        monkeypatch.setattr(scenario, "_FREEFIELD_SLICE", 16)  # sample_rows: 3 slices
         rng = np.random.default_rng(61)
         points = np.column_stack([rng.uniform(-5.0, 5.0, 40), -rng.uniform(0.0, 5.0, 40)])
         points[::7, 1] = 0.0  # on the boundary, where the reflected terms cancel
         n = (0.6, 0.8)
         calls = {
-            "fullplane_incident": lambda x: fullplane_incident(M, wave, OMEGA, x).as_array(),
-            "halfplane_freefield": lambda x: halfplane_freefield(M, wave, OMEGA, x).as_array(),
+            "fullplane_incident": lambda x: fullplane_incident(M, wave, OMEGA, x),
+            "halfplane_freefield": lambda x: halfplane_freefield(M, wave, OMEGA, x),
             "traction": lambda x: freefield_traction(M, wave, OMEGA, x, n),
             "traction_half": lambda x: freefield_traction(M, wave, OMEGA, x, n,
                                                           half_plane=True),
         }
+
+        def sampled(kind, columns):
+            def call(x):
+                s = scenario.Scenario(kind=kind, omega=OMEGA, wave=wave,
+                                      points=tuple(map(tuple, np.reshape(x, (-1, 2)))),
+                                      outputs=("displacement", "traction"), normal=n)
+                return scenario.sample_rows(s, M)[:, columns].view(complex)
+            return call
+
+        for kind in ("freefield-full", "freefield-half"):
+            for columns in (slice(2, 6), slice(6, 10)):
+                calls[f"{kind} columns {columns}"] = sampled(kind, columns)
         for name, call in calls.items():
             rows = call(points)
             assert rows.shape == (len(points), 2), name
             for row, p in zip(rows, points):
                 assert row.tobytes() == call(tuple(p)).tobytes(), (name, p)
 
+    def test_sample_rows_peak_memory_per_point(self):
+        # the (N, 10) rows and (N, 2) points are 96 bytes a point; the plane-wave
+        # temporaries, about 200 more unsliced, stay within one slice
+        def peak_per_point(n1):
+            s = scenario.parse_scenario({
+                "schema_version": 1, "kind": "freefield-half", "omega": OMEGA,
+                "wave": {"mode": "S1", "amplitude": [1.0, 0.5], "phi": 0.7},
+                "grid": {"x1": [-5.0, 5.0, n1], "x2": [-5.0, 0.0, 512]},
+                "outputs": ["displacement", "traction"], "normal": [0.0, 1.0]})
+            tracemalloc.start()
+            try:
+                scenario.sample_rows(s, M)
+                return tracemalloc.get_traced_memory()[1] / (n1 * 512)
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak_per_point(256), peak_per_point(512)  # 2 and 4 slices
+        assert large < 160.0
+        assert 2.0 * large - small < 120.0  # bytes for each point beyond the first 2**17
+
     def test_shapes(self):
         x = (0.3, -0.4)
         f = halfplane_freefield(M, WAVE2, OMEGA, x)
-        assert type(f.u3) is complex and type(f.w3) is complex
-        assert f.as_array().shape == (2,)
+        assert f.dtype == complex and f.shape == (2,)
         assert freefield_traction(M, WAVE2, OMEGA, x, (0.0, 1.0)).shape == (2,)
         sigma, h = freefield_stress(M, WAVE2, OMEGA, [x, x, x], half_plane=True)
         assert sigma.shape == h.shape == (3, 2)
-        assert halfplane_freefield(M, WAVE2, OMEGA, [x]).u3.shape == (1,)
+        assert halfplane_freefield(M, WAVE2, OMEGA, [x]).shape == (1, 2)
