@@ -176,7 +176,8 @@ def decompose(m: QcMaterial) -> SpectralDecomposition:
         # pi/2, where the arccos form of the same angle loses all digits.
         if m.c44 >= m.K2:
             gap = 0.5 * ((m.c44 - m.K2) + disc)
-            excess = m.R3 * m.R3 / gap
+            # R3 / gap <= 1 first where R3^2 would leave the normal range
+            excess = m.R3 * m.R3 / gap if m.R3 > 1e-150 else m.R3 * (m.R3 / gap)
         else:
             excess = 0.5 * ((m.K2 - m.c44) + disc)
         psi = math.atan2(excess, m.R3)

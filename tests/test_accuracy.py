@@ -61,11 +61,10 @@ def modes(m: QcMaterial, omega: float):
     c44, r3, k2 = mp.mpf(m.c44), mp.mpf(m.R3), mp.mpf(m.K2)
     a1 = (c44 + k2 + mp.sqrt((c44 - k2) ** 2 + 4 * r3**2)) / 2
     a2 = (c44 * k2 - r3**2) / a1
-    if r3 == 0:
-        q1 = (mp.mpf(1), mp.mpf(0)) if c44 >= k2 else (mp.mpf(0), mp.mpf(1))
-    else:
-        norm = mp.sqrt(r3**2 + (a1 - c44) ** 2)
-        q1 = (r3 / norm, (a1 - c44) / norm)
+    # eigenvector angle of a symmetric 2x2 matrix, 0 or pi/2 at R3 = 0; the
+    # form R3 : (a1 - c44) loses a1 - c44 when R3 is below 50 digits of c44 = K2
+    theta = mp.atan2(2 * r3, c44 - k2) / 2
+    q1 = (mp.cos(theta), mp.sin(theta))
     q2 = (-q1[1], q1[0])
     return [(a, omega * mp.sqrt(mp.mpf(m.rho) / a), q) for a, q in ((a1, q1), (a2, q2))]
 
@@ -149,6 +148,8 @@ def test_kernel_stress_and_traction(log_contrast, gamma, log_k2r, theta, u, v, n
 @example(10.0, 0.9, "S2", True, 0.7, 1.0, 0.3, -0.7, 0.0, 1.0)  # c44/R3/K2 sums: 3.1e-6
 @example(6.0, 0.9, "S2", False, 0.3, 2.0, 0.5, -0.5, 0.6, 0.8)  # c44/R3/K2 sums: 5.0e-10
 @example(0.0, 1.0 - 1e-10, "S2", True, 1.2, 3.0, -0.2, -0.9, 1.0, 0.0)  # rounded det: 2.1e-6
+@example(0.0, 2.711853170088461e-132, "S1", False, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0)  # c44 = K2
+@example(0.0, 3.0890113120484704e-296, "S1", False, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0)  # R3^2 = 0
 def test_freefield_stress_and_traction(log_contrast, gamma, mode, half_plane, phi, log_kx,
                                        u, v, n1, n2):
     m, n, omega = material(log_contrast, gamma), unit_normal(n1, n2), 2.0
