@@ -14,8 +14,8 @@ import numpy as np
 from qcwaves import (
     QcMaterial,
     decompose,
+    dirac_flux,
     fundamental_displacement,
-    fundamental_traction,
     wave_parameters,
 )
 
@@ -38,14 +38,7 @@ def main():
               f"{abs(v[0, 1]):12.4e} {asym:12.1e} {abs(v[0, 0]) * math.sqrt(r):14.4e}")
 
     # tractions on a circle around the source integrate to minus identity
-    eps = 1e-3 / wp.k2
-    n_nodes = 256
-    total = np.zeros((2, 2), dtype=complex)
-    for k in range(n_nodes):
-        theta = 2.0 * math.pi * k / n_nodes
-        n = (math.cos(theta), math.sin(theta))
-        x = (xi[0] + eps * n[0], xi[1] + eps * n[1])
-        total += fundamental_traction(m, x, xi, omega, n) * (2 * math.pi * eps / n_nodes)
+    total = dirac_flux(m, xi, omega, eps=1e-3 / wp.k2)
     print("\ncontour integral of the traction kernel over a small circle:")
     with np.printoptions(precision=3, suppress=False):
         print(total)

@@ -23,6 +23,9 @@ Scenario document::
       "normal": [0.0, 1.0]              # required when traction is requested
     }
 
+A scenario key outside this layout for its kind, in ``wave`` or in ``grid``,
+and a repeated output are ParseErrors; material documents may carry extra keys.
+
 Field samples are written as CSV with one row per evaluation point; complex
 quantities always appear as separate ``_re``/``_im`` columns (so
 superposition checks stay exact), formatted with shortest round-trip float
@@ -32,6 +35,8 @@ repr. Point-source kinds use the column set
 ``x1,x2,u3_re,u3_im,w3_re,w3_im`` (plus ``t3,G3``). Grid rows are emitted
 with x1 as the outer loop and x2 as the inner loop; evaluation order is
 deterministic, so identical scenarios produce byte-identical CSV files.
+``run_scenario`` streams them: ``sample_rows`` evaluates one block of points,
+which is checked, formatted and written before the next block is evaluated.
 A grid may hold at most ``MAX_POINTS`` = 10**7 points (n1 * n2).
 """
 
@@ -82,17 +87,14 @@ POINT_SOURCE_KINDS = ("fundamental", "green-half")
 HALF_PLANE_KINDS = ("green-half", "freefield-half")
 
 MATERIAL_KEYS = ("c44", "R3", "K2", "rho")
-# Largest grid (n1 * n2 points) validate_scenario accepts. sample_rows holds
-# the whole (N, C) float64 array, at most 18 columns. With traction it peaks at
-# 290-320 bytes per point for a point source (3.2 GB at 10**7 points) and at
-# 110 for a free field (tracemalloc, 10**6 points), whose plane-wave
-# temporaries _FREEFIELD_SLICE bounds. Beyond the memory at hand, cli exits 3.
+# Largest grid (n1 * n2 points) validate_scenario accepts. run_scenario holds
+# its (N, 2) points and one block; beyond the memory at hand, cli exits 3.
 MAX_POINTS = 10**7
-_FREEFIELD_SLICE = 2**16  # points per free-field evaluation
-# Rows per formatted CSV block. It bounds the Python objects alive and is the
-# span over which a repeated float (a grid coordinate, a column equal to
-# another) is formatted once: a longer block finds more repeats but holds more.
-_CSV_CHUNK_ROWS = 512
+# Points per block: run_scenario evaluates, checks, formats and writes one block
+# at a time. It bounds the memory alive and is the span over which a repeated
+# float (a grid coordinate, a column equal to another) is formatted once: a
+# longer block finds more repeats but holds more.
+_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -113,6 +115,12 @@ def _require(doc: dict, key: str, where: str):
     if key not in doc:
         raise ParseError(f"{where}: missing required key {key!r}")
     return doc[key]
+
+
+def _check_keys(doc: dict, allowed: tuple[str, ...], where: str) -> None:
+    for key in doc:
+        if key not in allowed:
+            raise ParseError(f"{where}: unexpected key {key!r}")
 
 
 def _number(value, key: str, where: str) -> float:
@@ -179,6 +187,8 @@ def parse_scenario(doc: dict, where: str = "scenario") -> Scenario:
     kind = _require(doc, "kind", where)
     if kind not in KINDS:
         raise ParseError(f"{where}: kind must be one of {KINDS}; got {kind!r}")
+    _check_keys(doc, ("schema_version", "kind", "omega", "grid", "points", "outputs", "normal",
+                      "source" if kind in POINT_SOURCE_KINDS else "wave"), where)
     omega = _number(_require(doc, "omega", where), "omega", where)
 
     source = None
@@ -189,6 +199,7 @@ def parse_scenario(doc: dict, where: str = "scenario") -> Scenario:
         wdoc = _require(doc, "wave", where)
         if not isinstance(wdoc, dict):
             raise ParseError(f"{where}: key 'wave' must be an object")
+        _check_keys(wdoc, ("mode", "amplitude", "phi"), where + ".wave")
         mode = _require(wdoc, "mode", where + ".wave")
         amp = _require(wdoc, "amplitude", where + ".wave")
         if not isinstance(amp, (list, tuple)) or len(amp) != 2:
@@ -212,6 +223,7 @@ def parse_scenario(doc: dict, where: str = "scenario") -> Scenario:
         gdoc = doc["grid"]
         if not isinstance(gdoc, dict):
             raise ParseError(f"{where}: key 'grid' must be an object")
+        _check_keys(gdoc, ("x1", "x2"), where + ".grid")
         axes = []
         for axis in ("x1", "x2"):
             spec = _require(gdoc, axis, where + ".grid")
@@ -233,9 +245,11 @@ def parse_scenario(doc: dict, where: str = "scenario") -> Scenario:
     if not isinstance(outputs, list) or not all(isinstance(out, str) for out in outputs):
         raise ParseError(f"{where}: key 'outputs' must be a list of strings; got {outputs!r}")
     outputs = tuple(outputs)
-    for out in outputs:
+    for i, out in enumerate(outputs):
         if out not in ("displacement", "traction"):
             raise ParseError(f"{where}: unknown output {out!r}")
+        if out in outputs[:i]:
+            raise ParseError(f"{where}: output {out!r} is repeated")
     if not outputs:
         raise ParseError(f"{where}: outputs must not be empty")
 
@@ -339,12 +353,12 @@ def csv_header(s: Scenario) -> list[str]:
     return cols
 
 
-def sample_rows(s: Scenario, m: QcMaterial) -> np.ndarray:
-    """Evaluate the scenario as an (N, C) array with the csv_header columns.
+def sample_rows(s: Scenario, m: QcMaterial, pts: np.ndarray) -> np.ndarray:
+    """Evaluate (n, 2) points, rows of scenario_points(s), as an (n, C) array
+    with the csv_header columns.
 
     Raises EvaluationError naming a failing point.
     """
-    pts = scenario_points(s)
     rows = np.empty((len(pts), len(csv_header(s))))
     rows[:, :2] = pts
     traction = "traction" in s.outputs
@@ -364,12 +378,10 @@ def sample_rows(s: Scenario, m: QcMaterial) -> np.ndarray:
         field = halfplane_freefield if half_plane else fullplane_incident
         try:  # the library names the first failing point; an overflow, the check below
             with np.errstate(over="ignore", invalid="ignore"):
-                for start in range(0, len(pts), _FREEFIELD_SLICE):
-                    part = slice(start, start + _FREEFIELD_SLICE)
-                    rows[part, 2:6] = field(m, s.wave, s.omega, pts[part]).view(float)
-                    if traction:
-                        rows[part, 6:] = freefield_traction(m, s.wave, s.omega, pts[part],
-                                                            s.normal, half_plane).view(float)
+                rows[:, 2:6] = field(m, s.wave, s.omega, pts).view(float)
+                if traction:
+                    rows[:, 6:] = freefield_traction(m, s.wave, s.omega, pts, s.normal,
+                                                     half_plane).view(float)
         except QcError as exc:
             raise EvaluationError(f"evaluation failed: {exc}") from exc
     finite = np.isfinite(rows).all(axis=1)
@@ -389,25 +401,26 @@ def _format_block(block: np.ndarray) -> str:
 
 
 def run_scenario(s: Scenario, m: QcMaterial, out_path, sidecar_path=None) -> int:
-    """Validate, evaluate and write the CSV (and optional JSON sidecar).
+    """Validate, then evaluate and write the CSV one block of points at a time,
+    and the optional JSON sidecar.
 
-    Returns the number of data rows written. A write that fails once the CSV
-    is open, say with a MemoryError, removes the CSV and the sidecar.
+    Returns the number of data rows written. Any error once the CSV is open,
+    say a point that fails to evaluate or a MemoryError, removes the CSV and
+    the sidecar.
     """
     validate_scenario(s, m)
-    rows = sample_rows(s, m)
-    header = csv_header(s)
+    pts = scenario_points(s)
     fh = open(out_path, "w", encoding="utf-8", newline="\n")
     try:
         with fh:
-            fh.write(",".join(header) + "\n")
-            for start in range(0, len(rows), _CSV_CHUNK_ROWS):
-                fh.write(_format_block(rows[start:start + _CSV_CHUNK_ROWS]))
+            fh.write(",".join(csv_header(s)) + "\n")
+            for start in range(0, len(pts), _BLOCK_ROWS):
+                fh.write(_format_block(sample_rows(s, m, pts[start:start + _BLOCK_ROWS])))
         if sidecar_path is not None:
-            _write_json(sidecar_path, m, scenario=scenario_to_dict(s), rows=len(rows))
+            _write_json(sidecar_path, m, scenario=scenario_to_dict(s), rows=len(pts))
     except BaseException:
         for path in (out_path, sidecar_path):
             if path is not None and os.path.isfile(path):
                 os.remove(path)
         raise
-    return len(rows)
+    return len(pts)

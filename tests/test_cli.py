@@ -99,6 +99,20 @@ class TestSample:
         assert code == 3
         assert "[0.0, 0.0]" in capsys.readouterr().err
 
+    def test_failure_in_second_block_removes_earlier_outputs(self, tmp_path, material_file,
+                                                             capsys):
+        doc = _edit(fundamental_scenario(), grid={"x1": [-1.0, 1.0, 3],
+                                                  "x2": [-600.0, 600.0, 1201]})
+        source_row = scenario_points(parse_scenario(doc)).tolist().index([0.0, 0.0])
+        assert scenario._BLOCK_ROWS <= source_row < 2 * scenario._BLOCK_ROWS
+        out, sidecar = tmp_path / "field.csv", tmp_path / "field.csv.meta.json"
+        out.write_text("x1,x2\n")  # left by an earlier run
+        sidecar.write_text("{}\n")
+        assert cli.main(["sample", "--material", material_file, "--scenario",
+                         write_scenario(tmp_path, doc), "--out", str(out)]) == 3
+        assert "[0.0, 0.0]" in capsys.readouterr().err
+        assert not out.exists() and not sidecar.exists()
+
     def test_halfplane_source_above_boundary_is_validation_error(self, tmp_path, material_file, capsys):
         doc = fundamental_scenario(3, 3)
         doc["kind"] = "green-half"
@@ -404,6 +418,19 @@ INVALID_SCENARIOS = [
      "normal"),
     ("outputs-number", _edit(fundamental_scenario(3, 3), outputs=5), "outputs"),
     ("outputs-string", _edit(fundamental_scenario(3, 3), outputs="displacement"), "outputs"),
+    ("unknown-key", _edit(fundamental_scenario(3, 3), output=["traction"]), "'output'"),
+    ("wave-on-point-source",
+     _edit(fundamental_scenario(3, 3), wave={"mode": "S9", "amplitude": [1.0, 0.0], "phi": 0.6}),
+     "'wave'"),
+    ("source-on-freefield", _edit(freefield_scenario(), source=[0.0, -1.0]), "'source'"),
+    ("unknown-wave-key",
+     _edit(freefield_scenario(), wave={"mode": "S1", "amplitude": [1.0, 0.0], "phi": 0.6,
+                                       "k": 2.0}), "'k'"),
+    ("grid-x3", _edit(fundamental_scenario(3, 3),
+                      grid={"x1": [0.1, 5.0, 3], "x2": [0.1, 5.0, 3], "x3": [0.0, 1.0, 2]}),
+     "'x3'"),
+    ("repeated-output", _edit(freefield_scenario(), outputs=["traction", "traction"]),
+     "'traction'"),
 ]
 
 
@@ -547,9 +574,9 @@ class TestOutOfMemory:
                  else self._fail_second_block(scenario._format_block))
         monkeypatch.setattr(scenario, where, patch)
         out = tmp_path / "field.csv"
-        assert scenario._CSV_CHUNK_ROWS < 30 * 30
+        assert scenario._BLOCK_ROWS < 40 * 40
         assert cli.main(["sample", "--material", material_file, "--scenario",
-                         write_scenario(tmp_path, fundamental_scenario(30, 30)),
+                         write_scenario(tmp_path, fundamental_scenario(40, 40)),
                          "--out", str(out)]) == 3
         captured = capsys.readouterr()
         assert captured.err.startswith("error: out of memory: Unable to allocate ")

@@ -5,10 +5,10 @@ import pytest
 
 import qcwaves.scenario as scenario
 from qcwaves import QcMaterial
-from qcwaves.scenario import csv_header, parse_scenario, run_scenario, sample_rows
+from qcwaves.scenario import csv_header, parse_scenario, run_scenario, sample_rows, scenario_points
 
 M = QcMaterial(c44=2.0, R3=1.0, K2=2.0, rho=1.0)
-B = scenario._CSV_CHUNK_ROWS
+B = 512  # rows per block where patched in: grids of B + 1 points then span two blocks
 
 # Floats where repr switches between positional and exponent notation, and subnormals.
 EXPONENT_SWITCHES = [1e16, 9.999999999999999e15, 1e-05, 0.0001]
@@ -16,15 +16,15 @@ SUBNORMALS = [5e-324, 2.225073858507201e-308, 1e-310]
 
 
 def reference_csv(s, m):
-    """The plain writer: every float repr'd, row by row."""
+    """The plain writer: every float repr'd, row by row, of the whole grid evaluated at once."""
     lines = [",".join(csv_header(s))]
-    lines += [",".join(map(repr, row)) for row in sample_rows(s, m).tolist()]
+    lines += [",".join(map(repr, row)) for row in sample_rows(s, m, scenario_points(s)).tolist()]
     return "\n".join(lines) + "\n"
 
 
 def written_csv(s, m, tmp_path):
     out = tmp_path / "field.csv"
-    assert run_scenario(s, m, str(out)) == len(scenario.scenario_points(s))
+    assert run_scenario(s, m, str(out)) == len(scenario_points(s))
     return out.read_bytes().decode("utf-8")
 
 
@@ -52,8 +52,9 @@ SIGNED_ZERO_POINTS = [[0.0, -1.0], [-0.0, -1.0], [1.0, -0.0], [1.0, 0.0], [0.0, 
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("rows", [1, B - 1, B, B + 1])
-def test_grid_csv_equals_reference_writer(tmp_path, kind, rows):
+def test_grid_csv_equals_reference_writer(tmp_path, monkeypatch, kind, rows):
     # a grid of `rows` points around a block boundary, x2 inner: coordinates repeat
+    monkeypatch.setattr(scenario, "_BLOCK_ROWS", B)
     n1 = next(n for n in (3, 7, 8, 1) if rows % n == 0)
     s = parse_scenario(scenario_doc(kind, grid={"x1": [-1.0, 1.0, n1],
                                                 "x2": [-2.0, -0.0, rows // n1]}))
@@ -98,7 +99,7 @@ def test_block_formatter_on_crafted_blocks():
 def test_point_source_csv_repeats_symmetric_kernel_columns(tmp_path, kind):
     # v* and t* are symmetric: u32 is w31 and t32 is G31, bit for bit
     s = parse_scenario(scenario_doc(kind, grid={"x1": [-1.0, 1.0, 9], "x2": [-2.0, -0.0, 7]}))
-    rows = sample_rows(s, M).view(np.int64)
+    rows = sample_rows(s, M, scenario_points(s)).view(np.int64)
     column = {name: j for j, name in enumerate(csv_header(s))}
     for a, b in [("u32", "w31"), ("t32", "G31")]:
         for part in ("_re", "_im"):

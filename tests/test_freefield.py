@@ -232,8 +232,8 @@ class TestArrayPoints:
     """An (N, 2) call is N one-point calls through the same code: equal bit for bit."""
 
     @pytest.mark.parametrize("wave", [WAVE1, WAVE2], ids=["S1", "S2"])
-    def test_rows_equal_single_point_calls(self, wave, monkeypatch):
-        monkeypatch.setattr(scenario, "_FREEFIELD_SLICE", 16)  # sample_rows: 3 slices
+    def test_rows_equal_single_point_calls(self, wave, monkeypatch, tmp_path):
+        monkeypatch.setattr(scenario, "_BLOCK_ROWS", 16)  # run_scenario: 3 blocks
         rng = np.random.default_rng(61)
         points = np.column_stack([rng.uniform(-5.0, 5.0, 40), -rng.uniform(0.0, 5.0, 40)])
         points[::7, 1] = 0.0  # on the boundary, where the reflected terms cancel
@@ -251,7 +251,10 @@ class TestArrayPoints:
                 s = scenario.Scenario(kind=kind, omega=OMEGA, wave=wave,
                                       points=tuple(map(tuple, np.reshape(x, (-1, 2)))),
                                       outputs=("displacement", "traction"), normal=n)
-                return scenario.sample_rows(s, M)[:, columns].view(complex)
+                out = tmp_path / "field.csv"
+                scenario.run_scenario(s, M, str(out))
+                rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+                return rows[:, columns].view(complex)
             return call
 
         for kind in ("freefield-full", "freefield-half"):
@@ -263,25 +266,27 @@ class TestArrayPoints:
             for row, p in zip(rows, points):
                 assert row.tobytes() == call(tuple(p)).tobytes(), (name, p)
 
-    def test_sample_rows_peak_memory_per_point(self):
-        # the (N, 10) rows and (N, 2) points are 96 bytes a point; the plane-wave
-        # temporaries, about 200 more unsliced, stay within one slice
-        def peak_per_point(n1):
-            s = scenario.parse_scenario({
-                "schema_version": 1, "kind": "freefield-half", "omega": OMEGA,
-                "wave": {"mode": "S1", "amplitude": [1.0, 0.5], "phi": 0.7},
-                "grid": {"x1": [-5.0, 5.0, n1], "x2": [-5.0, 0.0, 512]},
-                "outputs": ["displacement", "traction"], "normal": [0.0, 1.0]})
+    def test_sample_rows_peak_memory_per_point(self, tmp_path):
+        # beyond one block, a sample run holds only the (N, 2) points: 16 bytes a point
+        def peak(kind, n1):
+            doc = {"schema_version": 1, "kind": kind, "omega": OMEGA,
+                   "grid": {"x1": [-5.0, 5.0, n1], "x2": [-5.0, 0.0, scenario._BLOCK_ROWS]},
+                   "outputs": ["displacement", "traction"], "normal": [0.0, 1.0]}
+            if kind == "green-half":
+                doc["source"] = [0.3, -7.0]
+            else:
+                doc["wave"] = {"mode": "S1", "amplitude": [1.0, 0.5], "phi": 0.7}
+            s = scenario.parse_scenario(doc)
             tracemalloc.start()
             try:
-                scenario.sample_rows(s, M)
-                return tracemalloc.get_traced_memory()[1] / (n1 * 512)
+                scenario.run_scenario(s, M, str(tmp_path / "field.csv"))
+                return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        small, large = peak_per_point(256), peak_per_point(512)  # 2 and 4 slices
-        assert large < 160.0
-        assert 2.0 * large - small < 120.0  # bytes for each point beyond the first 2**17
+        for kind, (small, large) in {"green-half": (1, 2), "freefield-half": (4, 16)}.items():
+            extra = (large - small) * scenario._BLOCK_ROWS
+            assert (peak(kind, large) - peak(kind, small)) / extra <= 48.0, kind
 
     def test_shapes(self):
         x = (0.3, -0.4)

@@ -8,8 +8,9 @@ Each tree runs ``qcwaves sample`` and ``qcwaves verify`` as child processes,
 with its ``src/`` on PYTHONPATH, on inputs written to a temporary directory:
 
 * ``demos/scenario_fundamental.json`` on ``demos/material.json``;
-* a 40x40 ``green-half`` grid with displacement and traction;
-* a 40x40 ``freefield-half`` grid with displacement and traction;
+* 40x40 grids of each kind (``fundamental``, ``green-half``,
+  ``freefield-full``, ``freefield-half``) with displacement and traction,
+  so every kind's CSV spans more than one block of ``qcwaves.scenario``;
 * ``verify`` on the demo material at 1e4 and 1e6 rad/s;
 * ``verify`` on an R3 = 0 copy of the demo material at the same frequencies,
   where the decoupling suite runs instead of being skipped.
@@ -43,6 +44,9 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
 OMEGA = 2.0 * math.pi * 1e6
 GRID = {"x1": [-0.004, 0.004, 40], "x2": [-0.006, 0.0, 40]}
 SCENARIOS = {
+    "fundamental-grid": {"schema_version": 1, "kind": "fundamental", "omega": OMEGA,
+                         "source": [0.0003, -0.0021], "grid": GRID,
+                         "outputs": ["displacement", "traction"], "normal": [0.0, 1.0]},
     "green": {"schema_version": 1, "kind": "green-half", "omega": OMEGA,
               "source": [0.0003, -0.0021], "grid": GRID,
               "outputs": ["displacement", "traction"], "normal": [0.0, 1.0]},
@@ -50,6 +54,10 @@ SCENARIOS = {
                   "wave": {"mode": "S2", "amplitude": [1.0, 0.0], "phi": 0.7},
                   "grid": GRID, "outputs": ["displacement", "traction"],
                   "normal": [0.0, 1.0]},
+    "freefield-full": {"schema_version": 1, "kind": "freefield-full", "omega": OMEGA,
+                       "wave": {"mode": "S1", "amplitude": [0.6, -0.8], "phi": 1.2},
+                       "grid": GRID, "outputs": ["displacement", "traction"],
+                       "normal": [0.6, 0.8]},
 }
 SAMPLES = ("fundamental", *SCENARIOS)  # fundamental: demos/scenario_fundamental.json
 VERIFY_OMEGAS = "1e4,1e6"
@@ -156,7 +164,7 @@ def compare(a_src: Path, b_src: Path) -> bool:
                     changes = json_changes(*(json.loads(p.read_text()) for p in (a, b)))
                     line += "".join(f"\n    {path} rel {rel:.2g}" for path, rel in
                                     sorted(changes, key=lambda c: -c[1]))
-            print(f"{name:28} {line}")
+            print(f"{name:31} {line}")
         return same
 
 
