@@ -38,16 +38,18 @@ EXIT_VERIFY_FAILED = 4
 
 
 def _parse_omegas(text: str) -> list[float]:
-    """Parse a comma-separated list of finite angular frequencies > 0."""
+    """Parse a comma-separated list of distinct finite angular frequencies > 0."""
     try:
         omegas = [float(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
         raise ParseError(f"could not parse omega list {text!r}: {exc}") from exc
     if not omegas:
         raise ParseError("empty omega list")
-    for omega in omegas:
+    for i, omega in enumerate(omegas):
         if not (0.0 < omega < math.inf):
             raise ValidationError(f"omega must be finite and > 0; got {omega}")
+        if omega in omegas[:i]:
+            raise ParseError(f"omega {omega} is repeated")
     return omegas
 
 

@@ -35,8 +35,9 @@ repr. Point-source kinds use the column set
 ``x1,x2,u3_re,u3_im,w3_re,w3_im`` (plus ``t3,G3``). Grid rows are emitted
 with x1 as the outer loop and x2 as the inner loop; evaluation order is
 deterministic, so identical scenarios produce byte-identical CSV files.
-``run_scenario`` streams them: ``sample_rows`` evaluates one block of points,
-which is checked, formatted and written before the next block is evaluated.
+``run_scenario`` streams them: ``scenario_points`` builds one block of points
+from the grid's axes (or slices the point list), and ``sample_rows`` evaluates
+it; the block is checked, formatted and written before the next is built.
 A grid may hold at most ``MAX_POINTS`` = 10**7 points (n1 * n2).
 """
 
@@ -46,7 +47,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -87,13 +88,13 @@ POINT_SOURCE_KINDS = ("fundamental", "green-half")
 HALF_PLANE_KINDS = ("green-half", "freefield-half")
 
 MATERIAL_KEYS = ("c44", "R3", "K2", "rho")
-# Largest grid (n1 * n2 points) validate_scenario accepts. run_scenario holds
-# its (N, 2) points and one block; beyond the memory at hand, cli exits 3.
+# Largest grid (n1 * n2 points) validate_scenario accepts. A run holds one block
+# whatever the grid, so the cap bounds run time and CSV size, not memory.
 MAX_POINTS = 10**7
-# Points per block: run_scenario evaluates, checks, formats and writes one block
-# at a time. It bounds the memory alive and is the span over which a repeated
-# float (a grid coordinate, a column equal to another) is formatted once: a
-# longer block finds more repeats but holds more.
+# Points per block: scenario_points builds, and run_scenario evaluates, checks,
+# formats and writes, one block at a time. It bounds the memory alive and is the
+# span over which a repeated float (a grid coordinate, a column equal to another)
+# is formatted once: a longer block finds more repeats but holds more.
 _BLOCK_ROWS = 1024
 
 
@@ -144,13 +145,26 @@ def _check_schema_version(doc: dict, where: str) -> None:
         )
 
 
-def load_material(path) -> QcMaterial:
-    """Load and parse a material document; does not run validate()."""
+def _load_json(path, where: str):
+    """Read a JSON document; a key repeated in any of its objects is a ParseError."""
+    def unique_keys(pairs):
+        doc = {}
+        for key, value in pairs:
+            if key in doc:
+                raise ParseError(f"{where}: key {key!r} is repeated")
+            doc[key] = value
+        return doc
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh, object_pairs_hook=unique_keys)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"material file {path}: {exc}") from exc
+        raise ParseError(f"{where}: {exc}") from exc
+
+
+def load_material(path) -> QcMaterial:
+    """Load and parse a material document; does not run validate()."""
+    doc = _load_json(path, f"material file {path}")
     if not isinstance(doc, dict):
         raise ParseError(f"material file {path}: expected a JSON object")
     _check_schema_version(doc, f"material file {path}")
@@ -262,12 +276,7 @@ def parse_scenario(doc: dict, where: str = "scenario") -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"scenario file {path}: {exc}") from exc
-    return parse_scenario(doc, where=f"scenario file {path}")
+    return parse_scenario(_load_json(path, f"scenario file {path}"), where=f"scenario file {path}")
 
 
 def scenario_to_dict(s: Scenario) -> dict:
@@ -299,13 +308,17 @@ def _axis_values(lo: float, hi: float, count: int) -> np.ndarray:
         return lo + np.arange(count) * step
 
 
-def scenario_points(s: Scenario) -> np.ndarray:
-    """Evaluation points as an (N, 2) array in deterministic output order (x1 outer, x2 inner)."""
+def scenario_points(s: Scenario) -> Iterator[np.ndarray]:
+    """Yield the points in output order as (n, 2) blocks of at most _BLOCK_ROWS rows."""
     if s.points is not None:
-        return np.array(s.points, dtype=float)
+        for start in range(0, len(s.points), _BLOCK_ROWS):
+            yield np.array(s.points[start:start + _BLOCK_ROWS], dtype=float)
+        return
     (lo1, hi1, n1), (lo2, hi2, n2) = s.grid
     x1, x2 = _axis_values(lo1, hi1, n1), _axis_values(lo2, hi2, n2)
-    return np.column_stack([np.repeat(x1, len(x2)), np.tile(x2, len(x1))])
+    for start in range(0, n1 * n2, _BLOCK_ROWS):
+        i1, i2 = np.divmod(np.arange(start, min(start + _BLOCK_ROWS, n1 * n2)), n2)
+        yield np.column_stack([x1[i1], x2[i2]])
 
 
 def validate_scenario(s: Scenario, m: QcMaterial) -> None:
@@ -329,13 +342,13 @@ def validate_scenario(s: Scenario, m: QcMaterial) -> None:
         kernels.check_normal(s.normal)
     if s.kind == "green-half":
         halfplane.image_point(s.source)
-    pts = scenario_points(s)
-    finite = np.isfinite(pts).all(axis=1)
-    if not finite.all():
-        field = "points" if s.grid is None else "grid"
-        raise ValidationError(f"{field}: point {pts[finite.argmin()].tolist()} is not finite")
-    if s.kind in HALF_PLANE_KINDS:
-        halfplane.check_field_point(pts)
+    for pts in scenario_points(s):
+        finite = np.isfinite(pts).all(axis=1)
+        if not finite.all():
+            field = "points" if s.grid is None else "grid"
+            raise ValidationError(f"{field}: point {pts[finite.argmin()].tolist()} is not finite")
+        if s.kind in HALF_PLANE_KINDS:
+            halfplane.check_field_point(pts)
 
 
 def csv_header(s: Scenario) -> list[str]:
@@ -354,7 +367,7 @@ def csv_header(s: Scenario) -> list[str]:
 
 
 def sample_rows(s: Scenario, m: QcMaterial, pts: np.ndarray) -> np.ndarray:
-    """Evaluate (n, 2) points, rows of scenario_points(s), as an (n, C) array
+    """Evaluate (n, 2) points, a block of scenario_points(s), as an (n, C) array
     with the csv_header columns.
 
     Raises EvaluationError naming a failing point.
@@ -409,18 +422,18 @@ def run_scenario(s: Scenario, m: QcMaterial, out_path, sidecar_path=None) -> int
     the sidecar.
     """
     validate_scenario(s, m)
-    pts = scenario_points(s)
+    n_rows = len(s.points) if s.grid is None else s.grid[0][2] * s.grid[1][2]
     fh = open(out_path, "w", encoding="utf-8", newline="\n")
     try:
         with fh:
             fh.write(",".join(csv_header(s)) + "\n")
-            for start in range(0, len(pts), _BLOCK_ROWS):
-                fh.write(_format_block(sample_rows(s, m, pts[start:start + _BLOCK_ROWS])))
+            for pts in scenario_points(s):
+                fh.write(_format_block(sample_rows(s, m, pts)))
         if sidecar_path is not None:
-            _write_json(sidecar_path, m, scenario=scenario_to_dict(s), rows=len(pts))
+            _write_json(sidecar_path, m, scenario=scenario_to_dict(s), rows=n_rows)
     except BaseException:
         for path in (out_path, sidecar_path):
             if path is not None and os.path.isfile(path):
                 os.remove(path)
         raise
-    return len(pts)
+    return n_rows

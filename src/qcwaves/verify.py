@@ -406,12 +406,14 @@ def run(m: QcMaterial, omegas: Sequence[float], suites: Sequence[str] = tuple(SU
 
     Each (omega, suite) pair draws from ``np.random.default_rng((seed, k))``, k the suite's
     position in SUITES, so a record depends only on m, omega, the suite and the seed, not on
-    which suites run or in what order. An unknown suite name or a negative seed raises
-    ValidationError before any suite runs.
+    which suites run or in what order. An unknown or repeated suite name or a negative seed
+    raises ValidationError before any suite runs.
     """
-    for name in suites:
+    for i, name in enumerate(suites):
         if name not in SUITES:
             raise ValidationError(f"unknown suite {name!r}; choose from {tuple(SUITES)}")
+        if name in suites[:i]:
+            raise ValidationError(f"suite {name!r} is repeated")
     if seed < 0:
         raise ValidationError(f"--seed must be >= 0; got {seed}")
     for omega in omegas:

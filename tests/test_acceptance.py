@@ -286,7 +286,7 @@ def test_criterion_10_cli_end_to_end(tmp_path):
     m = load_material(material_path)
     s = load_scenario(scenario_path)
     lines = open(out).read().splitlines()[1:]
-    points = scenario_points(s)
+    points = np.concatenate(list(scenario_points(s)))
     bit_exact = len(lines) == len(points)
     for line, p in zip(lines, points):
         vals = [float(tok) for tok in line.split(",")]

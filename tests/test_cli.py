@@ -2,8 +2,10 @@
 
 import json
 import math
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qcwaves.cli as cli
@@ -75,7 +77,7 @@ class TestSample:
         m = QcMaterial(**{k: MATERIAL[k] for k in ("c44", "R3", "K2", "rho")})
         s = load_scenario(scenario_path)
         lines = open(out).read().splitlines()[1:]
-        points = scenario_points(s)
+        points = np.concatenate(list(scenario_points(s)))
         assert len(lines) == len(points)
         for line, p in zip(lines, points):
             vals = [float(tok) for tok in line.split(",")]
@@ -103,7 +105,8 @@ class TestSample:
                                                              capsys):
         doc = _edit(fundamental_scenario(), grid={"x1": [-1.0, 1.0, 3],
                                                   "x2": [-600.0, 600.0, 1201]})
-        source_row = scenario_points(parse_scenario(doc)).tolist().index([0.0, 0.0])
+        points = np.concatenate(list(scenario_points(parse_scenario(doc))))
+        source_row = points.tolist().index([0.0, 0.0])
         assert scenario._BLOCK_ROWS <= source_row < 2 * scenario._BLOCK_ROWS
         out, sidecar = tmp_path / "field.csv", tmp_path / "field.csv.meta.json"
         out.write_text("x1,x2\n")  # left by an earlier run
@@ -216,6 +219,15 @@ class TestDecompose:
         captured = capsys.readouterr()
         assert captured.out == "" and "omega" in captured.err
 
+    @pytest.mark.parametrize("command", ["decompose", "verify"])
+    def test_repeated_omega_is_rejected(self, material_file, tmp_path, capsys, command):
+        report = tmp_path / "report.json"
+        args = ["--report", str(report)] if command == "verify" else []
+        assert cli.main([command, "--material", material_file, "--omega", "1e6,2e6,1e6",
+                         *args]) == 2
+        assert capsys.readouterr() == ("", "error: omega 1000000.0 is repeated\n")
+        assert not report.exists()
+
 
 class TestVerify:
     def test_default_suite_exits_zero(self, material_file, tmp_path, capsys):
@@ -285,6 +297,13 @@ class TestVerify:
         a, b = (json.load(open(p)) for p in paths)
         assert a == b
         assert a["seed"] == 123
+
+    def test_repeated_suite_is_rejected(self, material_file, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        assert cli.main(["verify", "--material", material_file, "--suite",
+                         "reciprocity,decoupling,reciprocity", "--report", str(report)]) == 2
+        assert capsys.readouterr() == ("", "error: suite 'reciprocity' is repeated\n")
+        assert not report.exists()
 
     def test_unknown_suite_is_named_before_a_bad_seed(self, material_file, capsys):
         assert cli.main(["verify", "--material", material_file, "--suite",
@@ -431,6 +450,19 @@ INVALID_SCENARIOS = [
      "'x3'"),
     ("repeated-output", _edit(freefield_scenario(), outputs=["traction", "traction"]),
      "'traction'"),
+    # defects after the first block of points, each named by its full message:
+    # x1 = 0 + 3 * (MAX / 3) overflows to inf on the last of four x1 rows
+    ("non-finite-point-in-fourth-block",
+     _edit(fundamental_scenario(), grid={"x1": [0.0, sys.float_info.max, 4],
+                                         "x2": [-1.0, 0.0, scenario._BLOCK_ROWS]}),
+     "grid: point [inf, -1.0] is not finite"),
+    ("grid-point-above-boundary-in-second-block",  # x2 = -2000, -1999, ..., 1
+     _edit(freefield_scenario(), points=None,
+           grid={"x1": [0.5, 0.5, 1], "x2": [-2000.0, 1.0, 2002]}),
+     "field point (0.5, 1.0) must have x2 <= 0"),
+    ("listed-point-above-boundary-in-second-block",
+     _edit(freefield_scenario(), points=[[0.0, -1.0]] * (scenario._BLOCK_ROWS + 3) + [[2.0, 0.5]]),
+     "field point (2.0, 0.5) must have x2 <= 0"),
 ]
 
 
@@ -450,6 +482,28 @@ class TestInputBoundary:
         assert code == 2
         assert not out.exists()
         assert field in capsys.readouterr().err.replace(str(path), "")
+
+    @pytest.mark.parametrize("name, doc, entry, repeat", [
+        ("material", MATERIAL, '"rho": 1.0', '"rho": 3.0'),
+        ("scenario", fundamental_scenario(3, 3), '"omega": 2.0', '"omega": 4.0'),
+        ("scenario", freefield_scenario(), '"phi": 0.6', '"phi": 0.7'),
+        ("scenario", fundamental_scenario(3, 3), '"x1": [0.1, 5.0, 3]', '"x1": [0.1, 5.0, 4]'),
+    ], ids=["rho", "omega", "wave.phi", "grid.x1"])
+    def test_repeated_key(self, tmp_path, capsys, name, doc, entry, repeat):
+        # json.load keeps the last of two equal keys; qcwaves rejects the document
+        paths = {"material": tmp_path / "material.json", "scenario": tmp_path / "scenario.json"}
+        paths["material"].write_text(json.dumps(MATERIAL))
+        paths["scenario"].write_text(json.dumps(fundamental_scenario(3, 3)))
+        text = json.dumps(doc)
+        assert text.count(entry) == 1
+        paths[name].write_text(text.replace(entry, f"{entry}, {repeat}"))
+        out = tmp_path / "field.csv"
+        assert cli.main(["sample", "--material", str(paths["material"]), "--scenario",
+                         str(paths["scenario"]), "--out", str(out)]) == 2
+        key = entry.split(":")[0].strip('"')
+        assert capsys.readouterr().err == (f"error: {name} file {paths[name]}: "
+                                           f"key {key!r} is repeated\n")
+        assert not out.exists() and not (tmp_path / "field.csv.meta.json").exists()
 
     def test_infinite_modulus(self, tmp_path, capsys):
         path = tmp_path / "m.json"

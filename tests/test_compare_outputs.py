@@ -18,8 +18,8 @@ def test_same_tree_reports_every_output_identical():
                           capture_output=True, text=True, timeout=300)
     lines = done.stdout.splitlines()
     assert done.returncode == 0, done.stdout + done.stderr
-    assert len(lines) == 12 and all(line.split()[1].startswith("identical") for line in lines)
-    assert sum("max ulp 0, max diff / column max 0" in line for line in lines) == 5
+    assert len(lines) == 14 and all(line.split()[1].startswith("identical") for line in lines)
+    assert sum("max ulp 0, max diff / column max 0" in line for line in lines) == 6
 
 
 def test_json_changes_names_each_moved_value():

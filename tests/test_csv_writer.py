@@ -18,13 +18,14 @@ SUBNORMALS = [5e-324, 2.225073858507201e-308, 1e-310]
 def reference_csv(s, m):
     """The plain writer: every float repr'd, row by row, of the whole grid evaluated at once."""
     lines = [",".join(csv_header(s))]
-    lines += [",".join(map(repr, row)) for row in sample_rows(s, m, scenario_points(s)).tolist()]
+    pts = np.concatenate(list(scenario_points(s)))
+    lines += [",".join(map(repr, row)) for row in sample_rows(s, m, pts).tolist()]
     return "\n".join(lines) + "\n"
 
 
 def written_csv(s, m, tmp_path):
     out = tmp_path / "field.csv"
-    assert run_scenario(s, m, str(out)) == len(scenario_points(s))
+    assert run_scenario(s, m, str(out)) == len(np.concatenate(list(scenario_points(s))))
     return out.read_bytes().decode("utf-8")
 
 
@@ -99,7 +100,7 @@ def test_block_formatter_on_crafted_blocks():
 def test_point_source_csv_repeats_symmetric_kernel_columns(tmp_path, kind):
     # v* and t* are symmetric: u32 is w31 and t32 is G31, bit for bit
     s = parse_scenario(scenario_doc(kind, grid={"x1": [-1.0, 1.0, 9], "x2": [-2.0, -0.0, 7]}))
-    rows = sample_rows(s, M, scenario_points(s)).view(np.int64)
+    rows = sample_rows(s, M, np.concatenate(list(scenario_points(s)))).view(np.int64)
     column = {name: j for j, name in enumerate(csv_header(s))}
     for a, b in [("u32", "w31"), ("t32", "G31")]:
         for part in ("_re", "_im"):

@@ -11,6 +11,8 @@ with its ``src/`` on PYTHONPATH, on inputs written to a temporary directory:
 * 40x40 grids of each kind (``fundamental``, ``green-half``,
   ``freefield-full``, ``freefield-half``) with displacement and traction,
   so every kind's CSV spans more than one block of ``qcwaves.scenario``;
+* a ``green-half`` point list of 1,500 points with displacement and
+  traction, which also spans two blocks;
 * ``verify`` on the demo material at 1e4 and 1e6 rad/s;
 * ``verify`` on an R3 = 0 copy of the demo material at the same frequencies,
   where the decoupling suite runs instead of being skipped.
@@ -43,6 +45,7 @@ import numpy as np
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 OMEGA = 2.0 * math.pi * 1e6
 GRID = {"x1": [-0.004, 0.004, 40], "x2": [-0.006, 0.0, 40]}
+POINTS = [[0.004 * math.sin(0.7 * i), -0.006 * (i + 0.5) / 1500] for i in range(1500)]
 SCENARIOS = {
     "fundamental-grid": {"schema_version": 1, "kind": "fundamental", "omega": OMEGA,
                          "source": [0.0003, -0.0021], "grid": GRID,
@@ -58,6 +61,9 @@ SCENARIOS = {
                        "wave": {"mode": "S1", "amplitude": [0.6, -0.8], "phi": 1.2},
                        "grid": GRID, "outputs": ["displacement", "traction"],
                        "normal": [0.6, 0.8]},
+    "green-points": {"schema_version": 1, "kind": "green-half", "omega": OMEGA,
+                     "source": [0.0003, -0.0021], "points": POINTS,
+                     "outputs": ["displacement", "traction"], "normal": [0.0, 1.0]},
 }
 SAMPLES = ("fundamental", *SCENARIOS)  # fundamental: demos/scenario_fundamental.json
 VERIFY_OMEGAS = "1e4,1e6"
