@@ -48,6 +48,7 @@ from .material import (
     decompose,
     validate,
     wave_parameters,
+    wave_table,
 )
 from .specfun import (
     hankel1_0,

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .errors import (
     NonPositiveDensity,
     NonPositiveFrequency,
     NonPositiveModulus,
+    ValidationError,
 )
 
 __all__ = [
@@ -41,6 +43,7 @@ __all__ = [
     "validate",
     "decompose",
     "wave_parameters",
+    "wave_table",
 ]
 
 _last_decomposition, _last_waves = (None, None), (None, None, None, None)
@@ -202,3 +205,15 @@ def wave_parameters(d: SpectralDecomposition, rho: float, omega: float) -> WaveP
     c2 = math.sqrt(d.a2 / rho)
     _last_waves = memo = (d, rho, omega, WaveParameters(omega=omega, k1=k1, k2=k2, c1=c1, c2=c2))
     return memo[3]
+
+
+def wave_table(m: QcMaterial, omegas: Sequence[float]) -> list[WaveParameters]:
+    """The WaveParameters of each omega, once m, the list (not empty, no omega repeated)
+    and each omega through wave_parameters have passed: an error comes before any result."""
+    d = decompose(m)
+    if len(omegas) == 0:
+        raise ValidationError("empty omega list")
+    for i, omega in enumerate(omegas):
+        if omega in omegas[:i]:
+            raise ValidationError(f"omega {omega} is repeated")
+    return [wave_parameters(d, m.rho, omega) for omega in omegas]

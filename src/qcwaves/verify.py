@@ -32,7 +32,7 @@ from .errors import RadiusTooLarge, StencilOutOfDomain, ValidationError
 from .freefield import IncidentWave, freefield_traction, fullplane_incident
 from .halfplane import green_displacement, green_traction, image_point
 from .kernels import fundamental_displacement, fundamental_traction
-from .material import QcMaterial, decompose, validate, wave_parameters
+from .material import QcMaterial, decompose, validate, wave_parameters, wave_table
 from .specfun import macdonald_k0_neg_i
 
 __all__ = [
@@ -406,9 +406,12 @@ def run(m: QcMaterial, omegas: Sequence[float], suites: Sequence[str] = tuple(SU
 
     Each (omega, suite) pair draws from ``np.random.default_rng((seed, k))``, k the suite's
     position in SUITES, so a record depends only on m, omega, the suite and the seed, not on
-    which suites run or in what order. An unknown or repeated suite name or a negative seed
-    raises ValidationError before any suite runs.
+    which suites run or in what order. Before any suite runs, wave_table checks m and omegas,
+    and an empty suite list, an unknown or repeated name or a negative seed raises ValidationError.
     """
+    waves = wave_table(m, omegas)
+    if not suites:
+        raise ValidationError("empty suite list")
     for i, name in enumerate(suites):
         if name not in SUITES:
             raise ValidationError(f"unknown suite {name!r}; choose from {tuple(SUITES)}")
@@ -416,10 +419,10 @@ def run(m: QcMaterial, omegas: Sequence[float], suites: Sequence[str] = tuple(SU
             raise ValidationError(f"suite {name!r} is repeated")
     if seed < 0:
         raise ValidationError(f"--seed must be >= 0; got {seed}")
-    for omega in omegas:
+    for wp in waves:
         for name in suites:
             rng = np.random.default_rng((seed, list(SUITES).index(name)))
-            yield {"name": name, **SUITES[name](m, omega, rng), "omega": omega}
+            yield {"name": name, **SUITES[name](m, wp.omega, rng), "omega": wp.omega}
 
 
 def all_passed(records) -> bool:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -12,7 +13,9 @@ import qcwaves.cli as cli
 import qcwaves.scenario as scenario
 import qcwaves.verify as verify
 from qcwaves import (
+    QcError,
     QcMaterial,
+    ValidationError,
     fundamental_displacement,
     fundamental_traction,
     green_displacement,
@@ -29,6 +32,8 @@ from qcwaves.scenario import (
 )
 
 MATERIAL = {"schema_version": 1, "c44": 2.0, "R3": 1.0, "K2": 2.0, "rho": 1.0}
+# k2 = 2 sqrt(2) omega, so omega = 1e308 overflows k2 but not k1
+OVERFLOW_MATERIAL = {"schema_version": 1, "c44": 1.0, "R3": 0.5, "K2": 1.0, "rho": 4.0}
 
 
 @pytest.fixture
@@ -228,6 +233,13 @@ class TestDecompose:
         assert capsys.readouterr() == ("", "error: omega 1000000.0 is repeated\n")
         assert not report.exists()
 
+    def test_overflowing_wavenumber_prints_nothing(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(OVERFLOW_MATERIAL))
+        assert cli.main(["decompose", "--material", str(path), "--omega", "1,1e308"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: wavenumbers ")
+
 
 class TestVerify:
     def test_default_suite_exits_zero(self, material_file, tmp_path, capsys):
@@ -311,6 +323,17 @@ class TestVerify:
         out, err = capsys.readouterr()
         assert out == "" and err == (f"error: unknown suite 'nonsense'; choose from "
                                      f"{tuple(verify.SUITES)}\n")
+
+    @pytest.mark.parametrize("command", ["decompose", "verify"])
+    @pytest.mark.parametrize("omega", ["1,1", "0", "2,-1", "-0.0", "1,1e308", "1e308,1e308"])
+    def test_frequency_errors_are_the_library_errors(self, tmp_path, capsys, command, omega):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(OVERFLOW_MATERIAL))
+        with pytest.raises(QcError) as library:
+            next(verify.run(load_material(path), [float(w) for w in omega.split(",")]))
+        code = 2 if isinstance(library.value, ValidationError) else 3
+        assert cli.main([command, "--material", str(path), "--omega", omega]) == code
+        assert capsys.readouterr() == ("", f"error: {library.value}\n")
 
     @pytest.mark.parametrize("seed", [1, 7])
     @pytest.mark.parametrize("r3", [None, 0.0])  # the demo material and its R3 = 0 copy
@@ -564,33 +587,65 @@ class TestInputBoundary:
                          "--report", str(report)]) == 2
         assert f"error: cannot write {report}: " in capsys.readouterr().err
 
-    @pytest.mark.parametrize("where", ["missing-dir", "directory", "sidecar-directory", "empty"])
+    @pytest.mark.parametrize("where", ["missing-dir", "directory", "sidecar-directory", "empty",
+                                       "name-too-long", "sidecar-name-too-long", "symlink-loop"])
     def test_unwritable_sample_output_fails_before_evaluation(self, tmp_path, material_file,
                                                               monkeypatch, capsys, where):
+        monkeypatch.setattr(scenario, "validate_scenario", lambda *args: pytest.fail("validated"))
         monkeypatch.setattr(scenario, "sample_rows", lambda *args: pytest.fail("grid evaluated"))
-        paths = {"missing-dir": tmp_path / "missing" / "field.csv", "empty": ""}
+        paths = {"missing-dir": tmp_path / "missing" / "field.csv", "empty": "",
+                 "name-too-long": tmp_path / ("f" * 256 + ".csv"),
+                 "sidecar-name-too-long": tmp_path / ("f" * 250 + ".csv")}  # 264-byte sidecar
         out = paths.get(where, tmp_path / "out")
         if where == "directory":
             out.mkdir()
         if where == "sidecar-directory":
             (tmp_path / "out.meta.json").mkdir()
+        if where == "symlink-loop":
+            out.symlink_to(out.name)
         assert cli.main(["sample", "--material", material_file, "--scenario",
                          write_scenario(tmp_path, fundamental_scenario(3, 3)),
                          "--out", str(out)]) == 2
-        unwritable = tmp_path / "out.meta.json" if where == "sidecar-directory" else out
+        unwritable = f"{out}.meta.json" if where.startswith("sidecar-") else out
         assert f"error: cannot write {unwritable}: " in capsys.readouterr().err
-        assert not (tmp_path / "out").is_file()
+        assert not os.path.isfile(out)  # the check removed the CSV it created
 
-    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    @pytest.mark.parametrize("where", ["missing-dir", "directory", "name-too-long",
+                                       "symlink-loop"])
     def test_unwritable_verify_report_fails_before_any_suite(self, tmp_path, material_file,
                                                              capsys, where):
-        report = tmp_path / "missing" / "report.json" if where == "missing-dir" else tmp_path
+        reports = {"missing-dir": tmp_path / "missing" / "report.json", "directory": tmp_path,
+                   "name-too-long": tmp_path / ("r" * 300 + ".json")}
+        report = reports.get(where, tmp_path / "loop.json")
+        if where == "symlink-loop":
+            report.symlink_to(report.name)
         assert cli.main(["verify", "--material", material_file, "--suite", "reciprocity",
                          "--report", str(report)]) == 2
         out, err = capsys.readouterr()
         assert out == ""  # not one suite ran
-        reason = "No such file or directory" if where == "missing-dir" else "Is a directory"
+        reason = {"missing-dir": "No such file or directory", "directory": "Is a directory",
+                  "name-too-long": "File name too long",
+                  "symlink-loop": "Too many levels of symbolic links"}[where]
         assert f"error: cannot write {report}: {reason}" in err
+
+    @pytest.mark.parametrize("command", ["sample", "verify"])
+    @pytest.mark.parametrize("where", ["existing", "new", "dangling-symlink"])
+    def test_output_check_leaves_no_trace(self, tmp_path, command, where):
+        bad = tmp_path / "bad.json"  # coupling too strong: exit 2 after the output check
+        bad.write_text(json.dumps({**MATERIAL, "R3": 3.0}))
+        out, target = tmp_path / "out", tmp_path / "target"
+        if where == "existing":
+            out.write_bytes(b"an earlier run\n")
+        if where == "dangling-symlink":
+            out.symlink_to(target)
+        args = (["--scenario", write_scenario(tmp_path, fundamental_scenario(3, 3)),
+                 "--out", str(out)] if command == "sample" else ["--report", str(out)])
+        assert cli.main([command, "--material", str(bad), *args]) == 2
+        if where == "existing":
+            assert out.read_bytes() == b"an earlier run\n"
+        else:
+            assert out.is_symlink() == (where == "dangling-symlink") and not out.exists()
+        assert not target.exists() and not (tmp_path / "out.meta.json").exists()
 
     def test_overflowing_phase_names_its_point(self, tmp_path, material_file, capsys):
         # k * t leaves the float range at the third point only

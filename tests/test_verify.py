@@ -11,7 +11,10 @@ import pytest
 import qcwaves.cli
 import qcwaves.verify
 from qcwaves import (
+    CouplingTooStrong,
+    DomainError,
     IncidentWave,
+    NonPositiveFrequency,
     QcMaterial,
     RadiusTooLarge,
     StencilOutOfDomain,
@@ -282,10 +285,23 @@ class TestNanResult:
 
 class TestRun:
     def test_unknown_suite_rejected_before_any_suite_runs(self, monkeypatch):
-        monkeypatch.setitem(qcwaves.verify.SUITES, "pde-residual",
-                            lambda *args: pytest.fail("a suite ran"))
-        with pytest.raises(ValidationError, match="unknown suite 'nonsense'"):
-            list(qcwaves.verify.run(M, [OMEGA], ["pde-residual", "nonsense"]))
+        for name in qcwaves.verify.SUITES:
+            monkeypatch.setitem(qcwaves.verify.SUITES, name,
+                                lambda *args: pytest.fail("a suite ran"))
+        coupled = QcMaterial(c44=1.0, R3=2.0, K2=1.0, rho=1.0)
+        cases = [  # (material, omegas, suites, error, message)
+            (M, [OMEGA], ["pde-residual", "nonsense"], ValidationError, "unknown suite 'nonsense'"),
+            (coupled, [OMEGA], ["reciprocity"], CouplingTooStrong, "coupling too strong"),
+            (M, [], ["reciprocity"], ValidationError, "empty omega list"),
+            (M, [0.0], ["reciprocity"], NonPositiveFrequency, "omega > 0"),
+            (M, [math.nan], ["reciprocity"], NonPositiveFrequency, "omega > 0"),
+            (M, [1.0, 1.0], ["reciprocity"], ValidationError, "omega 1.0 is repeated"),
+            (M, [OMEGA, 1.75e308], ["reciprocity"], DomainError, "leave the float range"),
+            (M, [OMEGA], [], ValidationError, "empty suite list"),
+        ]
+        for m, omegas, suites, error, message in cases:
+            with pytest.raises(error, match=message):
+                next(qcwaves.verify.run(m, omegas, suites))
 
     def test_skipped_suite_does_not_fail(self):
         records = list(qcwaves.verify.run(M, [OMEGA, 2 * OMEGA], ["decoupling"], seed=3))

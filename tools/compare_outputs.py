@@ -15,17 +15,20 @@ with its ``src/`` on PYTHONPATH, on inputs written to a temporary directory:
   traction, which also spans two blocks;
 * ``verify`` on the demo material at 1e4 and 1e6 rad/s;
 * ``verify`` on an R3 = 0 copy of the demo material at the same frequencies,
-  where the decoupling suite runs instead of being skipped.
+  where the decoupling suite runs instead of being skipped;
+* ``decompose`` on the demo material at 1, 6.283e6 and 1e9 rad/s, whose
+  stdout is kept as ``decompose.txt``.
 
-For every output file (CSV, sidecar, report) it prints whether the bytes
-are identical. For every CSV it also prints the largest distance in units
-in the last place (ulp), counted only over entries of at least 1e-3 of
-their column's largest magnitude (round-off near a cancelling zero spans
-many ulps and says nothing), and the largest difference divided by the
-largest magnitude of its column in the first tree. Below a JSON output that
-differs it prints each differing key path with its relative change,
-largest first, e.g. ``checks[0].max_kernel_residual rel 1.7e-07`` (``inf``
-for a value that is not a number on both sides, or is missing on one).
+For every output file (CSV, sidecar, report, ``decompose.txt``) it prints
+whether the bytes are identical. For every CSV it also prints the largest
+distance in units in the last place (ulp), counted only over entries of at
+least 1e-3 of their column's largest magnitude (round-off near a cancelling
+zero spans many ulps and says nothing), and the largest difference divided
+by the largest magnitude of its column in the first tree. Below a JSON
+output that differs it prints each differing key path with its relative
+change, largest first, e.g. ``checks[0].max_kernel_residual rel 1.7e-07``
+(``inf`` for a value that is not a number on both sides, or is missing on
+one).
 The exit code is 0 when every output is byte-identical and 1 otherwise.
 """
 
@@ -68,6 +71,7 @@ SCENARIOS = {
 SAMPLES = ("fundamental", *SCENARIOS)  # fundamental: demos/scenario_fundamental.json
 VERIFY_OMEGAS = "1e4,1e6"
 VERIFY_REPORTS = {"verify.json": "material.json", "verify-r3zero.json": "material_r3zero.json"}
+DECOMPOSE_OMEGAS = "1,6.283e6,1e9"
 _MISSING = object()  # a key only one JSON document has
 ULP_FLOOR = 1e-3  # csv_distance counts ulps on entries >= this fraction of the column max
 
@@ -94,8 +98,11 @@ def run_tree(src: Path, inputs: Path, out: Path) -> list[str]:
     for args in commands:
         subprocess.run([sys.executable, "-m", "qcwaves.cli", *args], env=env, check=False,
                        stdout=subprocess.DEVNULL)
+    with open(out / "decompose.txt", "wb") as fh:
+        subprocess.run([sys.executable, "-m", "qcwaves.cli", "decompose", "--material", material,
+                        "--omega", DECOMPOSE_OMEGAS], env=env, check=False, stdout=fh)
     return ([f"{name}.csv" for name in SAMPLES] + [f"{name}.csv.meta.json" for name in SAMPLES]
-            + list(VERIFY_REPORTS))
+            + list(VERIFY_REPORTS) + ["decompose.txt"])
 
 
 def ordered_bits(values: np.ndarray) -> np.ndarray:
@@ -166,7 +173,7 @@ def compare(a_src: Path, b_src: Path) -> bool:
                 line = "identical" if identical else "differs"
                 if name.endswith(".csv"):
                     line += f"; {csv_distance(a, b)}"
-                elif not identical:
+                elif name.endswith(".json") and not identical:
                     changes = json_changes(*(json.loads(p.read_text()) for p in (a, b)))
                     line += "".join(f"\n    {path} rel {rel:.2g}" for path, rel in
                                     sorted(changes, key=lambda c: -c[1]))
