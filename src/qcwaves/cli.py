@@ -60,7 +60,7 @@ def _check_writable(*paths: str | None) -> None:
 
 def cmd_decompose(args) -> int:
     m = load_material(args.material)
-    waves = wave_table(m, _parse_omegas(args.omega)) if args.omega else []  # before any output
+    waves = [] if args.omega is None else wave_table(m, _parse_omegas(args.omega))  # before output
     d = decompose(m)
     print(f"material: c44={m.c44:g} Pa  R3={m.R3:g} Pa  K2={m.K2:g} Pa  rho={m.rho:g} kg/m^3")
     print(f"a1 = {d.a1:.12g} Pa")

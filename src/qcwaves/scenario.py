@@ -1,30 +1,21 @@
 """Scenario and material documents, field sampling, CSV/JSON output.
 
-File formats (all JSON with an explicit ``schema_version`` key, currently 1):
+Documents are JSON objects whose ``schema_version`` is 1. Each part of one
+is laid out once, in a table below: the material document (``_MATERIAL``),
+a scenario's top level for its kind (``_SCENARIOS``), its ``wave``
+(``_WAVE``) and its ``grid`` (``_GRID``). A table gives each key, whether it
+is required and the parser of its value; ``_walk`` parses by it and
+``_dump`` inverts it. A key outside its part's table is a ParseError, except
+in a material document, and a message names a nested key with its part
+(``scenario file S.wave: key 'phi' must be a number``). For example::
 
-Material document, flat keys in SI units::
+    {"schema_version": 1, "kind": "freefield-half", "omega": 6.283e6,
+     "wave": {"mode": "S1", "amplitude": [1.0, 0.0], "phi": 0.6},
+     "grid": {"x1": [-1.0, 1.0, 50], "x2": [-2.0, 0.0, 50]},
+     "outputs": ["displacement", "traction"], "normal": [0.0, 1.0]}
 
-    {"schema_version": 1, "c44": 4.2e10, "R3": 1.2e9, "K2": 2.4e10,
-     "rho": 4186.0}
-
-Scenario document::
-
-    {
-      "schema_version": 1,
-      "kind": "fundamental",            # or green-half | freefield-full
-                                        #    | freefield-half
-      "omega": 6.283e6,
-      "source": [0.0, 0.0],             # point-source kinds
-      "wave": {"mode": "S1", "amplitude": [1.0, 0.0], "phi": 0.6},
-                                        # free-field kinds
-      "grid": {"x1": [min, max, n], "x2": [min, max, n]},
-      "points": [[x1, x2], ...],        # alternative to "grid"
-      "outputs": ["displacement", "traction"],
-      "normal": [0.0, 1.0]              # required when traction is requested
-    }
-
-A scenario key outside this layout for its kind, in ``wave`` or in ``grid``,
-and a repeated output are ParseErrors; material documents may carry extra keys.
+The point-source kinds take a ``source`` [x1, x2] in place of ``wave``, and
+a ``points`` list [[x1, x2], ...] may replace ``grid``.
 
 Field samples are written as CSV with one row per evaluation point; complex
 quantities always appear as separate ``_re``/``_im`` columns (so
@@ -47,7 +38,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -87,7 +78,6 @@ KINDS = ("fundamental", "green-half", "freefield-full", "freefield-half")
 POINT_SOURCE_KINDS = ("fundamental", "green-half")
 HALF_PLANE_KINDS = ("green-half", "freefield-half")
 
-MATERIAL_KEYS = ("c44", "R3", "K2", "rho")
 # Largest grid (n1 * n2 points) validate_scenario accepts. A run holds one block
 # whatever the grid, so the cap bounds run time and CSV size, not memory.
 MAX_POINTS = 10**7
@@ -112,18 +102,6 @@ class Scenario:
     normal: Optional[tuple[float, float]] = None
 
 
-def _require(doc: dict, key: str, where: str):
-    if key not in doc:
-        raise ParseError(f"{where}: missing required key {key!r}")
-    return doc[key]
-
-
-def _check_keys(doc: dict, allowed: tuple[str, ...], where: str) -> None:
-    for key in doc:
-        if key not in allowed:
-            raise ParseError(f"{where}: unexpected key {key!r}")
-
-
 def _number(value, key: str, where: str) -> float:
     """The one check of every number in a document: a finite int or float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -137,12 +115,136 @@ def _number(value, key: str, where: str) -> float:
     return number
 
 
-def _check_schema_version(doc: dict, where: str) -> None:
-    version = _require(doc, "schema_version", where)
-    if type(version) is not int or version != SCHEMA_VERSION:  # not True, 1.0 or "1"
+def _schema_version(value, key: str, where: str) -> int:
+    if type(value) is not int or value != SCHEMA_VERSION:  # not True, 1.0 or "1"
         raise ParseError(
-            f"{where}: unsupported schema_version {version!r} (expected {SCHEMA_VERSION})"
+            f"{where}: unsupported schema_version {value!r} (expected {SCHEMA_VERSION})"
         )
+    return value
+
+
+def _kind(value, key: str, where: str) -> str:
+    if value not in KINDS:
+        raise ParseError(f"{where}: kind must be one of {KINDS}; got {value!r}")
+    return value
+
+
+def _pair(value, key: str, where: str) -> tuple[float, float]:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ParseError(f"{where}: key {key!r} must be a pair [x1, x2]")
+    return (_number(value[0], key, where), _number(value[1], key, where))
+
+
+def _amplitude(value, key: str, where: str) -> complex:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ParseError(f"{where}: {key} must be [re, im]")
+    return complex(_number(value[0], key, where), _number(value[1], key, where))
+
+
+def _axis(value, key: str, where: str) -> tuple[float, float, int]:
+    if not isinstance(value, (list, tuple)) or len(value) != 3:
+        raise ParseError(f"{where}: {key} must be [min, max, count]")
+    lo, hi, count = _number(value[0], key, where), _number(value[1], key, where), value[2]
+    if isinstance(count, bool) or not isinstance(count, int):
+        raise ParseError(f"{where}: {key} count must be an integer")
+    return (lo, hi, count)
+
+
+def _points(value, key: str, where: str) -> tuple[tuple[float, float], ...]:
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ParseError(f"{where}: key {key!r} must be a non-empty list of pairs")
+    return tuple(_pair(point, key, where) for point in value)
+
+
+def _outputs(value, key: str, where: str) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(out, str) for out in value):
+        raise ParseError(f"{where}: key {key!r} must be a list of strings; got {value!r}")
+    for i, out in enumerate(value):
+        if out not in ("displacement", "traction"):
+            raise ParseError(f"{where}: unknown output {out!r}")
+        if out in value[:i]:
+            raise ParseError(f"{where}: output {out!r} is repeated")
+    if not value:
+        raise ParseError(f"{where}: outputs must not be empty")
+    return tuple(value)
+
+
+class _Part(NamedTuple):
+    """The layout of one object of a document.
+
+    ``keys`` maps each key, in document order, to (required, parser). required is True,
+    False, or the key of an alternative, when exactly one of the two must be given. A
+    parser takes (value, key, where) and returns the key's field; a _Part as parser reads
+    a nested object. ``build`` makes the object's value from its fields, ``fields`` the
+    fields from the value.
+    """
+
+    keys: dict
+    build: Callable
+    fields: Callable
+    extra_keys: bool = False  # a key outside keys is ignored, not a ParseError
+
+
+def _document(cls, keys: dict, extra_keys: bool = False) -> _Part:
+    """A whole document: its schema_version, then keys whose fields build a cls."""
+    return _Part({"schema_version": (True, _schema_version), **keys},
+                 lambda schema_version, **fields: cls(**fields),
+                 lambda value: {"schema_version": SCHEMA_VERSION, **vars(value)}, extra_keys)
+
+
+_MATERIAL = _document(QcMaterial, {key: (True, _number) for key in ("c44", "R3", "K2", "rho")},
+                      extra_keys=True)
+_WAVE = _Part({"mode": (True, lambda value, key, where: value),  # IncidentWave checks it
+               "amplitude": (True, _amplitude), "phi": (True, _number)}, IncidentWave, vars)
+_GRID = _Part({"x1": (True, _axis), "x2": (True, _axis)},
+              lambda x1, x2: (x1, x2), lambda grid: {"x1": grid[0], "x2": grid[1]})
+# A scenario's schema_version and kind come first: the kind chooses the layout of the rest.
+_KIND = _document(dict, {"kind": (True, _kind)}, extra_keys=True)
+_SCENARIOS = {kind: _document(Scenario, {
+    "kind": (True, _kind),
+    "omega": (True, _number),
+    **({"source": (True, _pair)} if kind in POINT_SOURCE_KINDS else {"wave": (True, _WAVE)}),
+    "grid": ("points", _GRID),
+    "points": ("grid", _points),
+    "outputs": (False, _outputs),
+    "normal": (False, _pair),
+}) for kind in KINDS}
+
+
+def _walk(doc, part: _Part, where: str, key: Optional[str] = None):
+    """Parse doc by part: the whole document named where, or its object under key."""
+    if not isinstance(doc, dict):
+        raise ParseError(f"{where}: expected a JSON object" if key is None
+                         else f"{where}: key {key!r} must be an object")
+    if key is not None:
+        where = f"{where}.{key}"
+    unexpected = [name for name in doc if name not in part.keys]
+    if unexpected and not part.extra_keys:
+        raise ParseError(f"{where}: unexpected key {unexpected[0]!r}")
+    fields = {}
+    for name, (required, parse) in part.keys.items():
+        if isinstance(required, str) and (name in doc) == (required in doc):
+            raise ParseError(f"{where}: exactly one of {name!r} or {required!r} is required")
+        if name in doc:
+            fields[name] = (_walk(doc[name], parse, where, name) if isinstance(parse, _Part)
+                            else parse(doc[name], name, where))
+        elif required is True:
+            raise ParseError(f"{where}: missing required key {name!r}")
+    try:
+        return part.build(**fields)
+    except ValueError as exc:  # IncidentWave checks its mode, angle and amplitude
+        raise ValidationError(f"{where}: {exc}") from exc
+
+
+def _dump(value, parse):
+    """The document form of value, as parse (a parser or a _Part) would read it back."""
+    if isinstance(parse, _Part):
+        fields = parse.fields(value)
+        return {key: _dump(fields[key], sub) for key, (_, sub) in parse.keys.items()
+                if fields.get(key) is not None}
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    return [_dump(item, None) for item in value] if isinstance(value, tuple) else value
 
 
 def _load_json(path, where: str):
@@ -163,18 +265,13 @@ def _load_json(path, where: str):
 
 
 def load_material(path) -> QcMaterial:
-    """Load and parse a material document; does not run validate()."""
-    doc = _load_json(path, f"material file {path}")
-    if not isinstance(doc, dict):
-        raise ParseError(f"material file {path}: expected a JSON object")
-    _check_schema_version(doc, f"material file {path}")
-    values = {k: _number(_require(doc, k, f"material file {path}"), k, f"material file {path}")
-              for k in MATERIAL_KEYS}
-    return QcMaterial(**values)
+    """Load and parse a material document laid out as _MATERIAL; does not run validate()."""
+    where = f"material file {path}"
+    return _walk(_load_json(path, where), _MATERIAL, where)
 
 
 def material_to_dict(m: QcMaterial) -> dict:
-    return {"schema_version": SCHEMA_VERSION, **{k: getattr(m, k) for k in MATERIAL_KEYS}}
+    return _dump(m, _MATERIAL)
 
 
 def _write_json(path, m: QcMaterial, **fields) -> None:
@@ -187,92 +284,9 @@ def _write_json(path, m: QcMaterial, **fields) -> None:
         fh.write("\n")
 
 
-def _parse_point(value, key: str, where: str) -> tuple[float, float]:
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ParseError(f"{where}: key {key!r} must be a pair [x1, x2]")
-    return (_number(value[0], key, where), _number(value[1], key, where))
-
-
 def parse_scenario(doc: dict, where: str = "scenario") -> Scenario:
-    """Build a Scenario from a parsed JSON document."""
-    if not isinstance(doc, dict):
-        raise ParseError(f"{where}: expected a JSON object")
-    _check_schema_version(doc, where)
-    kind = _require(doc, "kind", where)
-    if kind not in KINDS:
-        raise ParseError(f"{where}: kind must be one of {KINDS}; got {kind!r}")
-    _check_keys(doc, ("schema_version", "kind", "omega", "grid", "points", "outputs", "normal",
-                      "source" if kind in POINT_SOURCE_KINDS else "wave"), where)
-    omega = _number(_require(doc, "omega", where), "omega", where)
-
-    source = None
-    wave = None
-    if kind in POINT_SOURCE_KINDS:
-        source = _parse_point(_require(doc, "source", where), "source", where)
-    else:
-        wdoc = _require(doc, "wave", where)
-        if not isinstance(wdoc, dict):
-            raise ParseError(f"{where}: key 'wave' must be an object")
-        _check_keys(wdoc, ("mode", "amplitude", "phi"), where + ".wave")
-        mode = _require(wdoc, "mode", where + ".wave")
-        amp = _require(wdoc, "amplitude", where + ".wave")
-        if not isinstance(amp, (list, tuple)) or len(amp) != 2:
-            raise ParseError(f"{where}.wave: amplitude must be [re, im]")
-        phi = _number(_require(wdoc, "phi", where + ".wave"), "phi", where + ".wave")
-        try:
-            wave = IncidentWave(
-                mode=mode,
-                amplitude=complex(_number(amp[0], "amplitude", where),
-                                  _number(amp[1], "amplitude", where)),
-                phi=phi,
-            )
-        except ValueError as exc:
-            raise ValidationError(f"{where}.wave: {exc}") from exc
-
-    grid = None
-    points = None
-    if ("grid" in doc) == ("points" in doc):
-        raise ParseError(f"{where}: exactly one of 'grid' or 'points' is required")
-    if "grid" in doc:
-        gdoc = doc["grid"]
-        if not isinstance(gdoc, dict):
-            raise ParseError(f"{where}: key 'grid' must be an object")
-        _check_keys(gdoc, ("x1", "x2"), where + ".grid")
-        axes = []
-        for axis in ("x1", "x2"):
-            spec = _require(gdoc, axis, where + ".grid")
-            if not isinstance(spec, (list, tuple)) or len(spec) != 3:
-                raise ParseError(f"{where}.grid: {axis} must be [min, max, count]")
-            lo = _number(spec[0], axis, where)
-            hi = _number(spec[1], axis, where)
-            if isinstance(spec[2], bool) or not isinstance(spec[2], int):
-                raise ParseError(f"{where}.grid: {axis} count must be an integer")
-            axes.append((lo, hi, spec[2]))
-        grid = (axes[0], axes[1])
-    else:
-        pdoc = doc["points"]
-        if not isinstance(pdoc, (list, tuple)) or not pdoc:
-            raise ParseError(f"{where}: key 'points' must be a non-empty list of pairs")
-        points = tuple(_parse_point(p, "points", where) for p in pdoc)
-
-    outputs = doc.get("outputs", ["displacement"])
-    if not isinstance(outputs, list) or not all(isinstance(out, str) for out in outputs):
-        raise ParseError(f"{where}: key 'outputs' must be a list of strings; got {outputs!r}")
-    outputs = tuple(outputs)
-    for i, out in enumerate(outputs):
-        if out not in ("displacement", "traction"):
-            raise ParseError(f"{where}: unknown output {out!r}")
-        if out in outputs[:i]:
-            raise ParseError(f"{where}: output {out!r} is repeated")
-    if not outputs:
-        raise ParseError(f"{where}: outputs must not be empty")
-
-    normal = None
-    if "normal" in doc:
-        normal = _parse_point(doc["normal"], "normal", where)
-
-    return Scenario(kind=kind, omega=omega, source=source, wave=wave, grid=grid,
-                    points=points, outputs=outputs, normal=normal)
+    """Build a Scenario from a parsed JSON document laid out as _SCENARIOS[kind]."""
+    return _walk(doc, _SCENARIOS[_walk(doc, _KIND, where)["kind"]], where)
 
 
 def load_scenario(path) -> Scenario:
@@ -281,23 +295,7 @@ def load_scenario(path) -> Scenario:
 
 def scenario_to_dict(s: Scenario) -> dict:
     """Canonical JSON-ready form; parse_scenario() round-trips it exactly."""
-    doc: dict = {"schema_version": SCHEMA_VERSION, "kind": s.kind, "omega": s.omega}
-    if s.source is not None:
-        doc["source"] = list(s.source)
-    if s.wave is not None:
-        doc["wave"] = {
-            "mode": s.wave.mode,
-            "amplitude": [s.wave.amplitude.real, s.wave.amplitude.imag],
-            "phi": s.wave.phi,
-        }
-    if s.grid is not None:
-        doc["grid"] = {"x1": list(s.grid[0]), "x2": list(s.grid[1])}
-    if s.points is not None:
-        doc["points"] = [list(p) for p in s.points]
-    doc["outputs"] = list(s.outputs)
-    if s.normal is not None:
-        doc["normal"] = list(s.normal)
-    return doc
+    return _dump(s, _SCENARIOS[s.kind])
 
 
 def _axis_values(lo: float, hi: float, count: int) -> np.ndarray:

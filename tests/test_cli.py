@@ -13,6 +13,7 @@ import qcwaves.cli as cli
 import qcwaves.scenario as scenario
 import qcwaves.verify as verify
 from qcwaves import (
+    ParseError,
     QcError,
     QcMaterial,
     ValidationError,
@@ -218,7 +219,7 @@ class TestDecompose:
         out = capsys.readouterr().out
         assert f"{1.0 / math.sqrt(3.0):.10g}"[:8] in out
 
-    @pytest.mark.parametrize("omega", ["1e6,abc", "1e6,-1"])
+    @pytest.mark.parametrize("omega", ["1e6,abc", "1e6,-1", ""])
     def test_bad_omega_prints_nothing(self, material_file, capsys, omega):
         assert cli.main(["decompose", "--material", material_file, "--omega", omega]) == 2
         captured = capsys.readouterr()
@@ -389,7 +390,7 @@ class TestScenarioParsing:
     def test_grid_and_points_are_exclusive(self):
         doc = fundamental_scenario()
         doc["points"] = [[1.0, 1.0]]
-        with pytest.raises(Exception):
+        with pytest.raises(ParseError, match="exactly one of 'grid' or 'points' is required"):
             parse_scenario(doc)
 
     def test_round_trip_identity(self):
@@ -419,10 +420,10 @@ def test_material_file_errors(tmp_path):
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"schema_version": 1, "c44": "big", "R3": 0.1,
                                 "K2": 1.0, "rho": 1.0}))
-    with pytest.raises(Exception):
+    with pytest.raises(ParseError, match="key 'c44' must be a number; got 'big'"):
         load_material(str(path))
     path.write_text(json.dumps({"schema_version": 1}))
-    with pytest.raises(Exception):
+    with pytest.raises(ParseError, match="missing required key 'c44'"):
         load_material(str(path))
 
 
@@ -473,6 +474,13 @@ INVALID_SCENARIOS = [
      "'x3'"),
     ("repeated-output", _edit(freefield_scenario(), outputs=["traction", "traction"]),
      "'traction'"),
+    # a nested key is named with its part, once
+    ("wave-amplitude-not-a-number",
+     _edit(freefield_scenario(), wave={"mode": "S1", "amplitude": ["a", 0.0], "phi": 0.6}),
+     ".wave: key 'amplitude' must be a number; got 'a'"),
+    ("grid-bound-not-finite",
+     _edit(fundamental_scenario(3, 3), grid={"x1": ["1e400", 5.0, 3], "x2": [0.1, 5.0, 3]}),
+     ".grid: key 'x1' must be finite; got inf"),
     # defects after the first block of points, each named by its full message:
     # x1 = 0 + 3 * (MAX / 3) overflows to inf on the last of four x1 rows
     ("non-finite-point-in-fourth-block",
@@ -486,6 +494,127 @@ INVALID_SCENARIOS = [
     ("listed-point-above-boundary-in-second-block",
      _edit(freefield_scenario(), points=[[0.0, -1.0]] * (scenario._BLOCK_ROWS + 3) + [[2.0, 0.5]]),
      "field point (2.0, 0.5) must have x2 <= 0"),
+]
+
+
+def _wave(**changes):
+    """freefield_scenario() with the given keys of its wave replaced or (None) removed."""
+    doc = freefield_scenario()
+    return _edit(doc, wave=_edit(doc["wave"], **changes))
+
+
+def _grid(**changes):
+    """fundamental_scenario(3, 3) with the given keys of its grid replaced or (None) removed."""
+    doc = fundamental_scenario(3, 3)
+    return _edit(doc, grid=_edit(doc["grid"], **changes))
+
+
+# (case, document name, a document with one defect, its error type, its full message);
+# F stands for the file
+DOCUMENT_MESSAGES = [
+    ("scenario-not-an-object", "scenario", [1.0], ParseError,
+     "scenario file F: expected a JSON object"),
+    ("no-schema-version", "scenario", _edit(fundamental_scenario(3, 3), schema_version=None),
+     ParseError, "scenario file F: missing required key 'schema_version'"),
+    ("schema-version-2", "scenario", _edit(fundamental_scenario(3, 3), schema_version=2),
+     ParseError, "scenario file F: unsupported schema_version 2 (expected 1)"),
+    ("no-kind", "scenario", _edit(fundamental_scenario(3, 3), kind=None), ParseError,
+     "scenario file F: missing required key 'kind'"),
+    ("unknown-kind", "scenario", _edit(fundamental_scenario(3, 3), kind="point"), ParseError,
+     "scenario file F: kind must be one of ('fundamental', 'green-half', 'freefield-full', "
+     "'freefield-half'); got 'point'"),
+    ("no-omega", "scenario", _edit(fundamental_scenario(3, 3), omega=None), ParseError,
+     "scenario file F: missing required key 'omega'"),
+    ("omega-string", "scenario", _edit(fundamental_scenario(3, 3), omega="2"), ParseError,
+     "scenario file F: key 'omega' must be a number; got '2'"),
+    ("omega-bool", "scenario", _edit(fundamental_scenario(3, 3), omega=True), ParseError,
+     "scenario file F: key 'omega' must be a number; got True"),
+    ("omega-inf", "scenario", _edit(fundamental_scenario(3, 3), omega=math.inf), ParseError,
+     "scenario file F: key 'omega' must be finite; got inf"),
+    ("omega-huge-int", "scenario", _edit(fundamental_scenario(3, 3), omega=10**400), ParseError,
+     f"scenario file F: key 'omega' must be finite; got {10**400}"),
+    ("unexpected-key", "scenario", _edit(fundamental_scenario(3, 3), output=["traction"]),
+     ParseError, "scenario file F: unexpected key 'output'"),
+    ("wave-on-point-source", "scenario", _edit(fundamental_scenario(3, 3), wave=_wave()["wave"]),
+     ParseError, "scenario file F: unexpected key 'wave'"),
+    ("source-on-freefield", "scenario", _edit(freefield_scenario(), source=[0.0, -1.0]),
+     ParseError, "scenario file F: unexpected key 'source'"),
+    ("no-source", "scenario", _edit(fundamental_scenario(3, 3), source=None), ParseError,
+     "scenario file F: missing required key 'source'"),
+    ("source-not-a-pair", "scenario", _edit(fundamental_scenario(3, 3), source=[0.0]),
+     ParseError, "scenario file F: key 'source' must be a pair [x1, x2]"),
+    ("source-not-a-number", "scenario", _edit(fundamental_scenario(3, 3), source=[0.0, "a"]),
+     ParseError, "scenario file F: key 'source' must be a number; got 'a'"),
+    ("no-wave", "scenario", _edit(freefield_scenario(), wave=None), ParseError,
+     "scenario file F: missing required key 'wave'"),
+    ("wave-not-an-object", "scenario", _edit(freefield_scenario(), wave="S1"), ParseError,
+     "scenario file F: key 'wave' must be an object"),
+    ("wave-no-mode", "scenario", _wave(mode=None), ParseError,
+     "scenario file F.wave: missing required key 'mode'"),
+    ("wave-unexpected-key", "scenario", _wave(k=2.0), ParseError,
+     "scenario file F.wave: unexpected key 'k'"),
+    ("amplitude-not-a-pair", "scenario", _wave(amplitude=[1.0]), ParseError,
+     "scenario file F.wave: amplitude must be [re, im]"),
+    ("amplitude-not-a-number", "scenario", _wave(amplitude=["a", 0.0]), ParseError,
+     "scenario file F.wave: key 'amplitude' must be a number; got 'a'"),
+    ("amplitude-nan", "scenario", _wave(amplitude=[0.0, math.nan]), ParseError,
+     "scenario file F.wave: key 'amplitude' must be finite; got nan"),
+    ("phi-not-a-number", "scenario", _wave(phi="a"), ParseError,
+     "scenario file F.wave: key 'phi' must be a number; got 'a'"),
+    ("unknown-mode", "scenario", _wave(mode="S9"), ValidationError,
+     "scenario file F.wave: mode must be one of ('S1', 'S2'); got 'S9'"),
+    ("phi-out-of-range", "scenario", _wave(phi=2.0), ValidationError,
+     "scenario file F.wave: incidence angle must lie strictly inside (0, pi/2); got 2.0"),
+    ("grid-not-an-object", "scenario", _edit(fundamental_scenario(3, 3), grid=[1.0]), ParseError,
+     "scenario file F: key 'grid' must be an object"),
+    ("grid-no-x2", "scenario", _grid(x2=None), ParseError,
+     "scenario file F.grid: missing required key 'x2'"),
+    ("grid-unexpected-key", "scenario", _grid(x3=[0.0, 1.0, 2]), ParseError,
+     "scenario file F.grid: unexpected key 'x3'"),
+    ("axis-not-a-triple", "scenario", _grid(x1=[0.0, 1.0]), ParseError,
+     "scenario file F.grid: x1 must be [min, max, count]"),
+    ("axis-bound-not-a-number", "scenario", _grid(x1=["a", 1.0, 3]), ParseError,
+     "scenario file F.grid: key 'x1' must be a number; got 'a'"),
+    ("axis-bound-inf", "scenario", _grid(x2=[0.0, math.inf, 3]), ParseError,
+     "scenario file F.grid: key 'x2' must be finite; got inf"),
+    ("axis-count-float", "scenario", _grid(x1=[0.0, 1.0, 3.0]), ParseError,
+     "scenario file F.grid: x1 count must be an integer"),
+    ("axis-count-bool", "scenario", _grid(x2=[0.0, 1.0, True]), ParseError,
+     "scenario file F.grid: x2 count must be an integer"),
+    ("points-empty", "scenario", _edit(freefield_scenario(), points=[]), ParseError,
+     "scenario file F: key 'points' must be a non-empty list of pairs"),
+    ("point-not-a-pair", "scenario", _edit(freefield_scenario(), points=[[1.0]]), ParseError,
+     "scenario file F: key 'points' must be a pair [x1, x2]"),
+    ("point-nan", "scenario", _edit(freefield_scenario(), points=[[math.nan, -1.0]]), ParseError,
+     "scenario file F: key 'points' must be finite; got nan"),
+    ("grid-and-points", "scenario", _edit(fundamental_scenario(3, 3), points=[[1.0, 1.0]]),
+     ParseError, "scenario file F: exactly one of 'grid' or 'points' is required"),
+    ("null-grid-and-points", "scenario", {**freefield_scenario(), "grid": None},
+     ParseError, "scenario file F: exactly one of 'grid' or 'points' is required"),
+    ("neither-grid-nor-points", "scenario", _edit(fundamental_scenario(3, 3), grid=None),
+     ParseError, "scenario file F: exactly one of 'grid' or 'points' is required"),
+    ("outputs-not-a-list", "scenario", _edit(fundamental_scenario(3, 3), outputs=5), ParseError,
+     "scenario file F: key 'outputs' must be a list of strings; got 5"),
+    ("unknown-output", "scenario", _edit(fundamental_scenario(3, 3), outputs=["stress"]),
+     ParseError, "scenario file F: unknown output 'stress'"),
+    ("repeated-output", "scenario", _edit(freefield_scenario(), outputs=["traction"] * 2),
+     ParseError, "scenario file F: output 'traction' is repeated"),
+    ("empty-outputs", "scenario", _edit(fundamental_scenario(3, 3), outputs=[]), ParseError,
+     "scenario file F: outputs must not be empty"),
+    ("normal-not-a-pair", "scenario", _edit(freefield_scenario(), normal=[0.0, 1.0, 0.0]),
+     ParseError, "scenario file F: key 'normal' must be a pair [x1, x2]"),
+    ("material-not-an-object", "material", "c44", ParseError,
+     "material file F: expected a JSON object"),
+    ("material-no-schema-version", "material", _edit(MATERIAL, schema_version=None), ParseError,
+     "material file F: missing required key 'schema_version'"),
+    ("material-schema-version-string", "material", _edit(MATERIAL, schema_version="1"),
+     ParseError, "material file F: unsupported schema_version '1' (expected 1)"),
+    ("material-no-rho", "material", _edit(MATERIAL, rho=None), ParseError,
+     "material file F: missing required key 'rho'"),
+    ("material-not-a-number", "material", _edit(MATERIAL, c44="big"), ParseError,
+     "material file F: key 'c44' must be a number; got 'big'"),
+    ("material-inf", "material", _edit(MATERIAL, K2=-math.inf), ParseError,
+     "material file F: key 'K2' must be finite; got -inf"),
 ]
 
 
@@ -505,6 +634,16 @@ class TestInputBoundary:
         assert code == 2
         assert not out.exists()
         assert field in capsys.readouterr().err.replace(str(path), "")
+
+    @pytest.mark.parametrize("name, doc, error, message", [case[1:] for case in DOCUMENT_MESSAGES],
+                             ids=[case[0] for case in DOCUMENT_MESSAGES])
+    def test_document_message(self, tmp_path, name, doc, error, message):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(QcError) as info:
+            (load_scenario if name == "scenario" else load_material)(str(path))
+        assert type(info.value) is error
+        assert str(info.value).replace(str(path), "F") == message
 
     @pytest.mark.parametrize("name, doc, entry, repeat", [
         ("material", MATERIAL, '"rho": 1.0', '"rho": 3.0'),

@@ -5,6 +5,11 @@ key of the incident wave) with an arbitrary JSON value, or deletes it, and
 runs ``qcwaves sample`` or ``qcwaves verify`` through ``cli.main``. The exit
 code must be 0, 2, 3 or 4, no exception may escape, a failed run must leave
 no CSV, and a CSV written with exit 0 must hold finite numbers only.
+
+Property: a valid document of any kind, with a grid or a point list, with or
+without ``outputs`` and ``normal``, and with integer or float numbers, parses
+to the value that its canonical form (``scenario_to_dict``,
+``material_to_dict``) parses to again, and that form is a fixed point.
 """
 
 import contextlib
@@ -18,6 +23,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import qcwaves.cli as cli  # noqa: E402
+from qcwaves.scenario import (  # noqa: E402
+    load_material,
+    material_to_dict,
+    parse_scenario,
+    scenario_to_dict,
+)
 
 MATERIAL = {"schema_version": 1, "c44": 2.0, "R3": 1.0, "K2": 2.0, "rho": 1.0}
 WAVE = {"mode": "S1", "amplitude": [1.0, 0.0], "phi": 0.6}
@@ -128,3 +139,58 @@ def test_overflow_exits_with_one_error_line(tmp_path, scenario, code, reason):
     lines = stderr.getvalue().splitlines()
     assert exit_code == code and not out.exists()
     assert len(lines) == 1 and lines[0].startswith("error: ") and reason in lines[0], lines
+
+
+finite = st.integers(-10**6, 10**6) | st.floats(allow_nan=False, allow_infinity=False)
+finite_pairs = st.lists(finite, min_size=2, max_size=2)
+valid_waves = st.fixed_dictionaries({
+    "mode": st.sampled_from(["S1", "S2"]),
+    "amplitude": finite_pairs,
+    "phi": st.just(1) | st.floats(0.0, math.pi / 2, exclude_min=True, exclude_max=True),
+})
+valid_grids = st.fixed_dictionaries({
+    axis: st.tuples(finite, finite, st.integers(-2, 10**9)).map(list) for axis in ("x1", "x2")
+})
+
+
+@st.composite
+def valid_scenarios(draw):
+    kind = draw(st.sampled_from(["fundamental", "green-half", "freefield-full", "freefield-half"]))
+    doc = {"schema_version": 1, "kind": kind, "omega": draw(finite)}
+    if kind in ("fundamental", "green-half"):
+        doc["source"] = draw(finite_pairs)
+    else:
+        doc["wave"] = draw(valid_waves)
+    if draw(st.booleans()):
+        doc["grid"] = draw(valid_grids)
+    else:
+        doc["points"] = draw(st.lists(finite_pairs, min_size=1, max_size=4))
+    if draw(st.booleans()):
+        doc["outputs"] = draw(st.sampled_from([["displacement"], ["traction"],
+                                               ["displacement", "traction"],
+                                               ["traction", "displacement"]]))
+    if draw(st.booleans()):
+        doc["normal"] = draw(finite_pairs)
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=valid_scenarios())
+def test_scenario_round_trips_through_its_canonical_form(doc):
+    s = parse_scenario(doc)
+    canonical = scenario_to_dict(s)
+    assert parse_scenario(json.loads(json.dumps(canonical))) == s
+    assert scenario_to_dict(parse_scenario(canonical)) == canonical
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=st.fixed_dictionaries({key: finite for key in ("c44", "R3", "K2", "rho")}),
+       notes=st.dictionaries(st.sampled_from(["note", "source", "c45"]), st.text(max_size=4)))
+def test_material_round_trips_through_its_canonical_form(tmp_path_factory, values, notes):
+    path = tmp_path_factory.mktemp("material") / "m.json"
+    path.write_text(json.dumps({"schema_version": 1, **values, **notes}))
+    m = load_material(str(path))
+    canonical = material_to_dict(m)
+    path.write_text(json.dumps(canonical))
+    assert load_material(str(path)) == m
+    assert material_to_dict(load_material(str(path))) == canonical
