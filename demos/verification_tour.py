@@ -17,7 +17,6 @@ LIMITS = {
     "pde-residual": (("max_kernel_residual", "kernel_tolerance"),
                      ("max_wave_residual", "wave_tolerance")),
     "dirac-flux": (("deviation", "tolerance"),),
-    "reciprocity": (("max_deviation", "tolerance"),),
     "decoupling": (("max_relative_error", "tolerance"),),
     "boundary-scan": (("max_green_traction", "green_tolerance"),
                       ("max_freefield_traction", "freefield_tolerance")),

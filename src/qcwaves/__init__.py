@@ -63,7 +63,6 @@ from .verify import (
     default_step,
     dirac_flux,
     pde_residual,
-    reciprocity_check,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

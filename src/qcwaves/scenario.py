@@ -295,7 +295,19 @@ def load_scenario(path) -> Scenario:
 
 def scenario_to_dict(s: Scenario) -> dict:
     """Canonical JSON-ready form; parse_scenario() round-trips it exactly."""
-    return _dump(s, _SCENARIOS[s.kind])
+    return _dump(s, _layout(s))
+
+
+def _layout(s: Scenario) -> _Part:
+    """The table of s.kind, once s (say, one built in code) has the keys it requires."""
+    part = _SCENARIOS[_kind(s.kind, "kind", "scenario")]
+    fields = part.fields(s)
+    for key, (required, _) in part.keys.items():
+        if isinstance(required, str) and (fields[key] is None) == (fields[required] is None):
+            raise ValidationError(f"scenario: exactly one of {key!r} or {required!r} is required")
+        if required is True and fields[key] is None:
+            raise ValidationError(f"scenario: missing required key {key!r}")
+    return part
 
 
 def _axis_values(lo: float, hi: float, count: int) -> np.ndarray:
@@ -324,6 +336,7 @@ def validate_scenario(s: Scenario, m: QcMaterial) -> None:
 
     The material, frequency, normal, source and half-plane checks are the library's own.
     """
+    _layout(s)
     material.wave_parameters(material.decompose(m), m.rho, s.omega)
     if s.grid is not None:
         for axis, (lo, hi, count) in zip(("x1", "x2"), s.grid):

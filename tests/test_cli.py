@@ -278,11 +278,11 @@ class TestVerify:
 
     def test_failed_check_exits_four(self, material_file, monkeypatch):
         def failing(m, omega, rng):
-            return {"name": "reciprocity", "status": "fail"}
+            return {"name": "dirac-flux", "status": "fail"}
 
-        monkeypatch.setitem(verify.SUITES, "reciprocity", failing)
+        monkeypatch.setitem(verify.SUITES, "dirac-flux", failing)
         code = cli.main(["verify", "--material", material_file,
-                         "--suite", "reciprocity"])
+                         "--suite", "dirac-flux"])
         assert code == 4
 
     def test_high_frequency_passes(self, material_file):
@@ -306,7 +306,7 @@ class TestVerify:
         paths = [str(tmp_path / f"r{i}.json") for i in range(2)]
         for p in paths:
             cli.main(["verify", "--material", material_file, "--suite",
-                      "reciprocity,dirac-flux", "--seed", "123", "--report", p])
+                      "pde-residual,dirac-flux", "--seed", "123", "--report", p])
         a, b = (json.load(open(p)) for p in paths)
         assert a == b
         assert a["seed"] == 123
@@ -314,13 +314,13 @@ class TestVerify:
     def test_repeated_suite_is_rejected(self, material_file, tmp_path, capsys):
         report = tmp_path / "report.json"
         assert cli.main(["verify", "--material", material_file, "--suite",
-                         "reciprocity,decoupling,reciprocity", "--report", str(report)]) == 2
-        assert capsys.readouterr() == ("", "error: suite 'reciprocity' is repeated\n")
+                         "pde-residual,decoupling,pde-residual", "--report", str(report)]) == 2
+        assert capsys.readouterr() == ("", "error: suite 'pde-residual' is repeated\n")
         assert not report.exists()
 
     def test_unknown_suite_is_named_before_a_bad_seed(self, material_file, capsys):
         assert cli.main(["verify", "--material", material_file, "--suite",
-                         "reciprocity,nonsense", "--seed", "-1"]) == 2
+                         "pde-residual,nonsense", "--seed", "-1"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err == (f"error: unknown suite 'nonsense'; choose from "
                                      f"{tuple(verify.SUITES)}\n")
@@ -414,6 +414,35 @@ class TestScenarioParsing:
         g = green_displacement(m, (0.5, -0.5), (0.0, -1.0), 2.0)
         first = [float(t) for t in open(out).read().splitlines()[1].split(",")]
         assert first[2] == g[0, 0].real and first[3] == g[0, 0].imag
+
+    GRID = ((-1.0, 1.0, 3), (-2.0, -0.5, 2))
+    POINTS = ((0.5, -0.5),)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"kind": "nonsense", "source": (0.0, -1.0), "points": POINTS},
+         r"kind must be one of \('fundamental'"),
+        ({"kind": "freefield-half", "points": POINTS}, "missing required key 'wave'"),
+        ({"kind": "freefield-full", "grid": GRID}, "missing required key 'wave'"),
+        ({"kind": "fundamental", "points": POINTS}, "missing required key 'source'"),
+        ({"kind": "fundamental", "source": (0.0, -1.0)},
+         "exactly one of 'grid' or 'points' is required"),
+        ({"kind": "green-half", "source": (0.0, -1.0)},
+         "exactly one of 'grid' or 'points' is required"),
+        ({"kind": "green-half", "source": (0.0, -1.0), "grid": GRID, "points": POINTS},
+         "exactly one of 'grid' or 'points' is required"),
+    ], ids=["unknown-kind", "freefield-half-no-wave", "freefield-full-no-wave",
+            "fundamental-no-source", "fundamental-no-layout", "green-half-no-layout",
+            "grid-and-points"])
+    def test_scenario_built_in_code_is_checked_against_its_kind(self, tmp_path, fields, message):
+        # a Scenario that did not come from parse_scenario meets the same layout
+        m = QcMaterial(c44=2.0, R3=1.0, K2=2.0, rho=1.0)
+        s = Scenario(omega=2.0, **fields)
+        out = tmp_path / "s.csv"
+        with pytest.raises(ValidationError, match=f"^scenario: {message}"):
+            run_scenario(s, m, str(out), str(out) + ".meta.json")
+        assert not out.exists()
+        with pytest.raises(ValidationError, match=f"^scenario: {message}"):
+            scenario_to_dict(s)
 
 
 def test_material_file_errors(tmp_path):
@@ -722,7 +751,7 @@ class TestInputBoundary:
 
     def test_unwritable_verify_report_is_validation_error(self, tmp_path, material_file, capsys):
         report = tmp_path / "missing" / "report.json"
-        assert cli.main(["verify", "--material", material_file, "--suite", "reciprocity",
+        assert cli.main(["verify", "--material", material_file, "--suite", "decoupling",
                          "--report", str(report)]) == 2
         assert f"error: cannot write {report}: " in capsys.readouterr().err
 
@@ -758,7 +787,7 @@ class TestInputBoundary:
         report = reports.get(where, tmp_path / "loop.json")
         if where == "symlink-loop":
             report.symlink_to(report.name)
-        assert cli.main(["verify", "--material", material_file, "--suite", "reciprocity",
+        assert cli.main(["verify", "--material", material_file, "--suite", "decoupling",
                          "--report", str(report)]) == 2
         out, err = capsys.readouterr()
         assert out == ""  # not one suite ran

@@ -1,0 +1,113 @@
+"""The defect matrix: which ``qcwaves verify`` suite sees which defect of the kernels.
+
+Each row plants one defect in the kernels' view of the material, of the
+cylinder functions or of the image source, runs every suite through
+``verify.run`` on the demo material and its R3 = 0 copy at omega = 1e3 and
+1e6 rad/s (seed 1), and pins each suite's verdict: FAIL if any of its records
+failed, else pass. The rows are the standing record of what each suite can
+detect. No suite sees a 1e-6 error in K1 alone, a 1e-9 error in Y_nu inside
+``specfun`` (the decoupling suite's closed forms call the same ``specfun``) or
+v*_21 != v*_12; tests/test_kernels.py::test_symmetry_random_materials and
+tests/test_csv_writer.py::test_point_source_csv_repeats_symmetric_kernel_columns
+catch the last.
+"""
+
+import dataclasses
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import qcwaves.halfplane as halfplane
+import qcwaves.kernels as kernels
+import qcwaves.specfun as specfun
+from qcwaves import verify
+from qcwaves.scenario import load_material
+
+DEMO = load_material(Path(__file__).resolve().parents[1] / "demos" / "material.json")
+MATERIALS = (DEMO, dataclasses.replace(DEMO, R3=0.0))
+OMEGAS = (1e3, 1e6)
+
+
+def wrap(module, name, change):
+    """A defect: module.name returns change(result, *args) in place of its result."""
+    def plant(monkeypatch):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: change(original(*args), *args))
+    return plant
+
+
+def k2_times(factor):
+    return wrap(kernels, "wave_parameters",
+                lambda wp, *args: dataclasses.replace(wp, k2=wp.k2 * factor))
+
+
+def psi_plus(delta):
+    return wrap(kernels, "decompose", lambda d, m: dataclasses.replace(d, psi=d.psi + delta))
+
+
+def kernel_times(factor):
+    return lambda monkeypatch: monkeypatch.setattr(kernels, "TWO_PI", kernels.TWO_PI / factor)
+
+
+def image_sign_flipped(monkeypatch):
+    # the image source is the one with xi2 > 0
+    for name in ("_displacement_entries", "_traction_entries"):
+        wrap(halfplane, name, lambda entries, m, x, xi, *rest:
+             tuple(-e for e in entries) if xi[1] > 0.0 else entries)(monkeypatch)
+
+
+def v21_off(monkeypatch):
+    monkeypatch.setattr(kernels, "_symmetric", lambda v11, v12, v22: np.array(
+        [[v11, v12], [v12 * (1.0 + 1e-6), v22]], dtype=complex))
+
+
+# defect -> (plant, verdicts of the suites in SUITES order:
+#            pde-residual, dirac-flux, decoupling, boundary-scan)
+MATRIX = {
+    "clean": (lambda monkeypatch: None, "pass pass pass pass"),
+    "k2 x (1 + 1e-6)": (k2_times(1.0 + 1e-6), "pass pass FAIL pass"),
+    "k2 x (1 + 1e-3)": (k2_times(1.0 + 1e-3), "FAIL pass FAIL pass"),
+    "psi + 1e-6": (psi_plus(1e-6), "pass pass FAIL pass"),
+    "psi + 1e-3": (psi_plus(1e-3), "FAIL pass FAIL pass"),
+    "a2 x (1 + 1e-6)": (wrap(kernels, "decompose", lambda d, m: dataclasses.replace(
+        d, a2=d.a2 * (1.0 + 1e-6))), "pass pass FAIL pass"),
+    "kernel x (1 + 1e-6)": (kernel_times(1.0 + 1e-6), "pass pass FAIL pass"),
+    "kernel x (1 + 1e-2)": (kernel_times(1.0 + 1e-2), "pass FAIL FAIL pass"),
+    "K0 x (1 + 1e-6)": (wrap(kernels, "macdonald_k0_neg_i", lambda k, x: k * (1.0 + 1e-6)),
+                        "pass pass FAIL pass"),
+    "K1 x (1 + 1e-6)": (wrap(kernels, "macdonald_k1_neg_i", lambda k, x: k * (1.0 + 1e-6)),
+                        "pass pass pass pass"),
+    "Y_nu x (1 + 1e-9) in specfun": (wrap(specfun, "_jy", lambda jy, *args: (
+        jy[0], jy[1] * (1.0 + 1e-9))), "pass pass pass pass"),
+    "image term sign-flipped": (image_sign_flipped, "pass pass FAIL FAIL"),
+    "v21 = v12 (1 + 1e-6)": (v21_off, "pass pass pass pass"),
+}
+
+
+@pytest.mark.parametrize("defect", MATRIX)
+def test_each_suite_gives_its_measured_verdict(monkeypatch, defect):
+    plant, expected = MATRIX[defect]
+    plant(monkeypatch)
+    failed = dict.fromkeys(verify.SUITES, False)
+    for m in MATERIALS:
+        for record in verify.run(m, OMEGAS, seed=1):
+            failed[record["name"]] |= record["status"] == "fail"
+    assert " ".join("FAIL" if failed[name] else "pass" for name in verify.SUITES) == expected
+
+
+def test_clean_tree_passes_every_suite():
+    statuses = [[(r["name"], r["status"]) for r in verify.run(m, OMEGAS, seed=1)]
+                for m in MATERIALS]
+    assert statuses[0] == [(name, "skipped" if name == "decoupling" else "pass")
+                           for name in verify.SUITES] * len(OMEGAS)
+    assert statuses[1] == [(name, "pass") for name in verify.SUITES] * len(OMEGAS)
+
+
+def test_every_suite_fails_on_some_defect():
+    # a suite the matrix shows never failing certifies nothing and should go
+    columns = list(zip(*(verdicts.split() for _, verdicts in MATRIX.values())))
+    assert len(columns) == len(verify.SUITES)
+    for name, column in zip(verify.SUITES, columns):
+        assert "FAIL" in column, name
+    assert "FAIL" not in MATRIX["clean"][1]

@@ -62,7 +62,7 @@ def traced_peak(call, kind, n1):
     ("freefield-half", lambda s: scenario.validate_scenario(s, M)),
     ("freefield-half", lambda s: scenario.run_scenario(s, M, os.devnull)),
 ], ids=["validate-green-half", "validate-freefield-half", "run-freefield-half"])
-def test_no_whole_grid_array_from_2_17_to_2_18_points(kind, call):
+def test_no_whole_grid_array_from_2_15_to_2_16_points(kind, call):
     # a whole-grid (N, 2) build reads 32 bytes per point here; one block reads none
-    small, large = (traced_peak(call, kind, n1) for n1 in (2**17 // B, 2**18 // B))
-    assert (large - small) / 2**17 <= 4.0
+    small, large = (traced_peak(call, kind, n1) for n1 in (2**15 // B, 2**16 // B))
+    assert (large - small) / 2**15 <= 4.0
