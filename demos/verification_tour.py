@@ -12,16 +12,6 @@ import math
 from qcwaves import IncidentWave, QcMaterial, boundary_traction_scan
 from qcwaves import verify
 
-# (value, tolerance) keys of each suite's record
-LIMITS = {
-    "pde-residual": (("max_kernel_residual", "kernel_tolerance"),
-                     ("max_wave_residual", "wave_tolerance")),
-    "dirac-flux": (("deviation", "tolerance"),),
-    "decoupling": (("max_relative_error", "tolerance"),),
-    "boundary-scan": (("max_green_traction", "green_tolerance"),
-                      ("max_freefield_traction", "freefield_tolerance")),
-}
-
 
 def main():
     m = QcMaterial(c44=4.2e10, R3=1.2e9, K2=2.4e10, rho=4186.0)
@@ -34,7 +24,7 @@ def main():
             if record["status"] == "skipped":
                 print(f"            {record['note']}")
                 continue
-            for value, tolerance in LIMITS[record["name"]]:
+            for value, tolerance, _ in verify.LIMITS[record["name"]]:
                 print(f"            {value} {record[value]:.2e}"
                       f"  (tolerance {record[tolerance]:g})")
         print()

@@ -5,9 +5,10 @@ is laid out once, in a table below: the material document (``_MATERIAL``),
 a scenario's top level for its kind (``_SCENARIOS``), its ``wave``
 (``_WAVE``) and its ``grid`` (``_GRID``). A table gives each key, whether it
 is required and the parser of its value; ``_walk`` parses by it and
-``_dump`` inverts it. A key outside its part's table is a ParseError, except
-in a material document, and a message names a nested key with its part
-(``scenario file S.wave: key 'phi' must be a number``). For example::
+``_dump`` inverts it, so a Scenario built in code is walked in its document
+form and meets the rules of a file. A key outside its part's table is a
+ParseError, except in a material document, and a message names a nested key
+with its part (``scenario file S.wave: key 'phi' must be a number``). For example::
 
     {"schema_version": 1, "kind": "freefield-half", "omega": 6.283e6,
      "wave": {"mode": "S1", "amplitude": [1.0, 0.0], "phi": 0.6},
@@ -197,7 +198,7 @@ _MATERIAL = _document(QcMaterial, {key: (True, _number) for key in ("c44", "R3",
 _WAVE = _Part({"mode": (True, lambda value, key, where: value),  # IncidentWave checks it
                "amplitude": (True, _amplitude), "phi": (True, _number)}, IncidentWave, vars)
 _GRID = _Part({"x1": (True, _axis), "x2": (True, _axis)},
-              lambda x1, x2: (x1, x2), lambda grid: {"x1": grid[0], "x2": grid[1]})
+              lambda x1, x2: (x1, x2), lambda grid: dict(zip(("x1", "x2"), grid, strict=True)))
 # A scenario's schema_version and kind come first: the kind chooses the layout of the rest.
 _KIND = _document(dict, {"kind": (True, _kind)}, extra_keys=True)
 _SCENARIOS = {kind: _document(Scenario, {
@@ -237,12 +238,16 @@ def _walk(doc, part: _Part, where: str, key: Optional[str] = None):
 
 
 def _dump(value, parse):
-    """The document form of value, as parse (a parser or a _Part) would read it back."""
+    """The document form of value, as parse (a parser or a _Part) would read it back: a
+    None field is an absent key, and a value of another shape is kept, for _walk to name."""
     if isinstance(parse, _Part):
-        fields = parse.fields(value)
-        return {key: _dump(fields[key], sub) for key, (_, sub) in parse.keys.items()
-                if fields.get(key) is not None}
-    if isinstance(value, complex):
+        try:
+            fields = parse.fields(value)
+        except (TypeError, ValueError):
+            return value
+        return {key: _dump(field, parse.keys.get(key, (None, None))[1])
+                for key, field in fields.items() if field is not None}
+    if parse is _amplitude and hasattr(value, "imag"):  # a complex or a real number
         return [value.real, value.imag]
     return [_dump(item, None) for item in value] if isinstance(value, tuple) else value
 
@@ -295,19 +300,13 @@ def load_scenario(path) -> Scenario:
 
 def scenario_to_dict(s: Scenario) -> dict:
     """Canonical JSON-ready form; parse_scenario() round-trips it exactly."""
-    return _dump(s, _layout(s))
+    return _dump(_reparse(s), _SCENARIOS[s.kind])
 
 
-def _layout(s: Scenario) -> _Part:
-    """The table of s.kind, once s (say, one built in code) has the keys it requires."""
+def _reparse(s: Scenario) -> Scenario:
+    """s (say, one built in code) read from its document form by the rules a file meets."""
     part = _SCENARIOS[_kind(s.kind, "kind", "scenario")]
-    fields = part.fields(s)
-    for key, (required, _) in part.keys.items():
-        if isinstance(required, str) and (fields[key] is None) == (fields[required] is None):
-            raise ValidationError(f"scenario: exactly one of {key!r} or {required!r} is required")
-        if required is True and fields[key] is None:
-            raise ValidationError(f"scenario: missing required key {key!r}")
-    return part
+    return _walk(_dump(s, part), part, "scenario")
 
 
 def _axis_values(lo: float, hi: float, count: int) -> np.ndarray:
@@ -331,12 +330,13 @@ def scenario_points(s: Scenario) -> Iterator[np.ndarray]:
         yield np.column_stack([x1[i1], x2[i2]])
 
 
-def validate_scenario(s: Scenario, m: QcMaterial) -> None:
+def validate_scenario(s: Scenario, m: QcMaterial) -> Scenario:
     """Check every scenario invariant before any kernel evaluation; raise a QcError.
 
-    The material, frequency, normal, source and half-plane checks are the library's own.
+    Returns s as read from its document form. The material, frequency, normal, source
+    and half-plane checks are the library's own.
     """
-    _layout(s)
+    s = _reparse(s)
     material.wave_parameters(material.decompose(m), m.rho, s.omega)
     if s.grid is not None:
         for axis, (lo, hi, count) in zip(("x1", "x2"), s.grid):
@@ -353,11 +353,11 @@ def validate_scenario(s: Scenario, m: QcMaterial) -> None:
         halfplane.image_point(s.source)
     for pts in scenario_points(s):
         finite = np.isfinite(pts).all(axis=1)
-        if not finite.all():
-            field = "points" if s.grid is None else "grid"
-            raise ValidationError(f"{field}: point {pts[finite.argmin()].tolist()} is not finite")
+        if not finite.all():  # a listed point is finite by _reparse; a grid's may overflow
+            raise ValidationError(f"grid: point {pts[finite.argmin()].tolist()} is not finite")
         if s.kind in HALF_PLANE_KINDS:
             halfplane.check_field_point(pts)
+    return s
 
 
 def csv_header(s: Scenario) -> list[str]:
@@ -430,7 +430,7 @@ def run_scenario(s: Scenario, m: QcMaterial, out_path, sidecar_path=None) -> int
     say a point that fails to evaluate or a MemoryError, removes the CSV and
     the sidecar.
     """
-    validate_scenario(s, m)
+    s = validate_scenario(s, m)
     n_rows = len(s.points) if s.grid is None else s.grid[0][2] * s.grid[1][2]
     fh = open(out_path, "w", encoding="utf-8", newline="\n")
     try:

@@ -15,8 +15,8 @@ result fails its check.
 Each check returns what it measured: a worst relative value as a float, or
 for ``dirac_flux`` the 2x2 flux matrix. It decides nothing. ``SUITES`` maps
 each ``qcwaves verify`` suite name to a runner ``(m, omega, rng) -> dict``
-that samples its layout from ``rng``, applies its pass rule and reports a
-``status`` ("pass", "fail", "skipped"), the measured values and their
+that samples its layout from ``rng`` and returns ``_record`` of what it
+measured: its ``status`` by the pass rule of ``LIMITS``, the values and their
 tolerances. ``run`` is the whole ``qcwaves verify`` run: it seeds
 each (omega, suite) pair with its own generator and yields the records.
 """
@@ -44,6 +44,7 @@ __all__ = [
     "GREEN_TRACTION_TOLERANCE",
     "FREEFIELD_TRACTION_TOLERANCE",
     "DECOUPLING_TOLERANCE",
+    "LIMITS",
     "default_step",
     "pde_residual",
     "dirac_flux",
@@ -68,6 +69,26 @@ DIRAC_FLUX_TOLERANCE = 1e-3  # omitted inertia term at eps * k2 = 1e-3
 GREEN_TRACTION_TOLERANCE = 1e-10  # image cancellation relative to one source
 FREEFIELD_TRACTION_TOLERANCE = 1e-13  # exactly zero up to round-off
 DECOUPLING_TOLERANCE = 1e-12  # same K0 values through two routes
+
+# The (value key, tolerance key, tolerance) of each value a suite's record bounds. A record
+# passes when every value is below its tolerance (NaN is not) and no "monotone" is false.
+LIMITS = {
+    "pde-residual": (("max_kernel_residual", "kernel_tolerance", PDE_KERNEL_TOLERANCE),
+                     ("max_wave_residual", "wave_tolerance", PDE_WAVE_TOLERANCE)),
+    "dirac-flux": (("deviation", "tolerance", DIRAC_FLUX_TOLERANCE),),
+    "decoupling": (("max_relative_error", "tolerance", DECOUPLING_TOLERANCE),),
+    "boundary-scan": (("max_green_traction", "green_tolerance", GREEN_TRACTION_TOLERANCE),
+                      ("max_freefield_traction", "freefield_tolerance",
+                       FREEFIELD_TRACTION_TOLERANCE)),
+}
+
+
+def _record(suite: str, **measured) -> dict:
+    """What suite measured, with the tolerances of LIMITS[suite] and the status they give."""
+    limits = LIMITS[suite]
+    passed = all(measured[value] < tol for value, _, tol in limits)
+    return {"status": "pass" if passed and measured.get("monotone", True) else "fail",
+            **measured, **{key: tol for _, key, tol in limits}}
 
 
 def _worst(*values: float) -> float:
@@ -285,28 +306,15 @@ def _pde_residual_suite(m: QcMaterial, omega: float, rng) -> dict:
             lambda p: fullplane_incident(m, wave, omega, p),
             m, omega, at, h=lam / 3000.0,  # smooth field: fine stencil
         ))
-    passed = worst < PDE_KERNEL_TOLERANCE and wave_worst < PDE_WAVE_TOLERANCE
-    return {
-        "status": "pass" if passed else "fail",
-        "max_kernel_residual": worst,
-        "kernel_tolerance": PDE_KERNEL_TOLERANCE,
-        "max_wave_residual": wave_worst,
-        "wave_tolerance": PDE_WAVE_TOLERANCE,
-    }
+    return _record("pde-residual", max_kernel_residual=worst, max_wave_residual=wave_worst)
 
 
 def _dirac_flux_suite(m: QcMaterial, omega: float, rng) -> dict:
     eps = 1e-3 / wave_parameters(decompose(m), m.rho, omega).k2
     deviations = [float(np.linalg.norm(dirac_flux(m, (0.0, 0.0), omega, eps / 2**i) + np.eye(2)))
                   for i in range(4)]
-    monotone = all(b < a for a, b in zip(deviations, deviations[1:]))
-    return {
-        "status": "pass" if deviations[0] < DIRAC_FLUX_TOLERANCE and monotone else "fail",
-        "deviation": deviations[0],
-        "tolerance": DIRAC_FLUX_TOLERANCE,
-        "deviations_under_halving": deviations,
-        "monotone": monotone,
-    }
+    return _record("dirac-flux", deviation=deviations[0], deviations_under_halving=deviations,
+                   monotone=all(b < a for a, b in zip(deviations, deviations[1:])))
 
 
 def _decoupling_suite(m: QcMaterial, omega: float, rng) -> dict:
@@ -316,9 +324,7 @@ def _decoupling_suite(m: QcMaterial, omega: float, rng) -> dict:
     points = [(rng.uniform(-2 * lam, 2 * lam), rng.uniform(-2 * lam, -0.01 * lam))
               for _ in range(20)]
     worst = decoupling_check(m, omega, points, xi=(0.0, -lam))
-    return {"status": "pass" if worst < DECOUPLING_TOLERANCE else "fail",
-            "max_relative_error": worst, "n_points": len(points),
-            "tolerance": DECOUPLING_TOLERANCE}
+    return _record("decoupling", max_relative_error=worst, n_points=len(points))
 
 
 def _boundary_scan_suite(m: QcMaterial, omega: float, rng) -> dict:
@@ -331,14 +337,8 @@ def _boundary_scan_suite(m: QcMaterial, omega: float, rng) -> dict:
     for mode in ("S1", "S2"):
         wave = _random_wave(mode, rng)
         wave_worst = _worst(wave_worst, boundary_traction_scan(m, omega, wave, n_points=50))
-    passed = green_worst < GREEN_TRACTION_TOLERANCE and wave_worst < FREEFIELD_TRACTION_TOLERANCE
-    return {
-        "status": "pass" if passed else "fail",
-        "max_green_traction": green_worst,
-        "green_tolerance": GREEN_TRACTION_TOLERANCE,
-        "max_freefield_traction": wave_worst,
-        "freefield_tolerance": FREEFIELD_TRACTION_TOLERANCE,
-    }
+    return _record("boundary-scan", max_green_traction=green_worst,
+                   max_freefield_traction=wave_worst)
 
 
 # The suites ``qcwaves verify`` runs, in their default order. (The annotation

@@ -1,5 +1,6 @@
 """CLI subcommands, file formats, exit codes and determinism."""
 
+import dataclasses
 import json
 import math
 import os
@@ -13,6 +14,7 @@ import qcwaves.cli as cli
 import qcwaves.scenario as scenario
 import qcwaves.verify as verify
 from qcwaves import (
+    IncidentWave,
     ParseError,
     QcError,
     QcMaterial,
@@ -417,32 +419,67 @@ class TestScenarioParsing:
 
     GRID = ((-1.0, 1.0, 3), (-2.0, -0.5, 2))
     POINTS = ((0.5, -0.5),)
+    GREEN = {"kind": "green-half", "source": (0.0, -1.0)}
+    WAVE = IncidentWave(mode="S1", amplitude=1.0 + 0.0j, phi=0.6)
 
     @pytest.mark.parametrize("fields, message", [
         ({"kind": "nonsense", "source": (0.0, -1.0), "points": POINTS},
-         r"kind must be one of \('fundamental'"),
-        ({"kind": "freefield-half", "points": POINTS}, "missing required key 'wave'"),
-        ({"kind": "freefield-full", "grid": GRID}, "missing required key 'wave'"),
-        ({"kind": "fundamental", "points": POINTS}, "missing required key 'source'"),
+         r": kind must be one of \('fundamental'"),
+        ({"kind": "freefield-half", "points": POINTS}, ": missing required key 'wave'"),
+        ({"kind": "freefield-full", "grid": GRID}, ": missing required key 'wave'"),
+        ({"kind": "fundamental", "points": POINTS}, ": missing required key 'source'"),
         ({"kind": "fundamental", "source": (0.0, -1.0)},
-         "exactly one of 'grid' or 'points' is required"),
+         ": exactly one of 'grid' or 'points' is required"),
         ({"kind": "green-half", "source": (0.0, -1.0)},
-         "exactly one of 'grid' or 'points' is required"),
+         ": exactly one of 'grid' or 'points' is required"),
         ({"kind": "green-half", "source": (0.0, -1.0), "grid": GRID, "points": POINTS},
-         "exactly one of 'grid' or 'points' is required"),
+         ": exactly one of 'grid' or 'points' is required"),
+        # values meet the parsers a file's values meet, and the message names the key
+        ({**GREEN, "omega": "2", "points": POINTS}, ": key 'omega' must be a number; got '2'"),
+        ({**GREEN, "grid": ((-1.0, 1.0, 2.5), GRID[1])}, r"\.grid: x1 count must be an integer"),
+        ({**GREEN, "points": ()}, ": key 'points' must be a non-empty list of pairs"),
+        ({**GREEN, "points": POINTS, "outputs": ("stress",)}, ": unknown output 'stress'"),
+        ({"kind": "freefield-half", "wave": "S1", "points": POINTS},
+         ": key 'wave' must be an object"),
+        ({**GREEN, "grid": 5}, ": key 'grid' must be an object"),
+        ({**GREEN, "grid": GRID + (GRID[0],)}, ": key 'grid' must be an object"),
+        ({"kind": "freefield-half", "wave": WAVE, "source": (0.0, -1.0), "points": POINTS},
+         ": unexpected key 'source'"),
     ], ids=["unknown-kind", "freefield-half-no-wave", "freefield-full-no-wave",
             "fundamental-no-source", "fundamental-no-layout", "green-half-no-layout",
-            "grid-and-points"])
+            "grid-and-points", "omega-string", "grid-count-float", "points-empty",
+            "outputs-unknown", "wave-string", "grid-int", "grid-three-axes",
+            "freefield-with-source"])
     def test_scenario_built_in_code_is_checked_against_its_kind(self, tmp_path, fields, message):
-        # a Scenario that did not come from parse_scenario meets the same layout
+        # a Scenario that did not come from parse_scenario meets the same rules as a file
         m = QcMaterial(c44=2.0, R3=1.0, K2=2.0, rho=1.0)
-        s = Scenario(omega=2.0, **fields)
+        s = Scenario(**{"omega": 2.0, **fields})
         out = tmp_path / "s.csv"
-        with pytest.raises(ValidationError, match=f"^scenario: {message}"):
+        with pytest.raises(ValidationError, match=f"^scenario{message}"):
             run_scenario(s, m, str(out), str(out) + ".meta.json")
         assert not out.exists()
-        with pytest.raises(ValidationError, match=f"^scenario: {message}"):
+        with pytest.raises(ValidationError, match=f"^scenario{message}"):
             scenario_to_dict(s)
+
+    @pytest.mark.parametrize("kind, changes", [
+        ("green-half", {"outputs": None}),
+        ("green-half", {"source": [0.0, -1.0]}),
+        ("freefield-half", {"wave": IncidentWave(mode="S1", amplitude=1.0, phi=0.6)}),
+    ], ids=["outputs-none", "source-list", "wave-real-amplitude"])
+    def test_scenario_built_in_code_reads_as_its_document(self, tmp_path, kind, changes):
+        # a field left None is an absent key (outputs: the default), a list reads as the
+        # tuple it parses to and a real amplitude as a complex one: the canonical bytes
+        m = QcMaterial(c44=2.0, R3=1.0, K2=2.0, rho=1.0)
+        canonical = Scenario(kind=kind, omega=2.0, points=((0.5, -0.5), (1.0, 0.0)),
+                             **({"wave": self.WAVE} if kind == "freefield-half"
+                                else {"source": (0.0, -1.0)}))
+        written = []
+        for s in (canonical, dataclasses.replace(canonical, **changes)):
+            out = tmp_path / f"{len(written)}.csv"
+            assert run_scenario(s, m, str(out), str(out) + ".meta.json") == 2
+            written.append((out.read_bytes(), Path(str(out) + ".meta.json").read_bytes()))
+            assert scenario_to_dict(s) == scenario_to_dict(canonical)
+        assert written[1] == written[0]
 
 
 def test_material_file_errors(tmp_path):

@@ -205,13 +205,49 @@ def test_suite_record_keys_are_pinned():
         assert set(r) == {"name", "status", "omega"} | extra, r["name"]
     # every (value, tolerance) pair a reader of the report looks up is in its record
     margin_keys = runpy.run_path(str(ROOT / "benchmarks" / "oracle.py"))["MARGIN_KEYS"]
-    limits = runpy.run_path(str(ROOT / "demos" / "verification_tour.py"))["LIMITS"]
+    limits = {name: [(value, tolerance) for value, tolerance, _ in limit]
+              for name, limit in qcwaves.verify.LIMITS.items()}
     assert set(limits) == set(RECORD_KEYS)
     # the benchmark's table may keep a retired suite's entry: no record reaches it
     assert set(margin_keys) >= set(RECORD_KEYS)
     for pairs in (margin_keys, limits):
         for name in RECORD_KEYS:
             assert {k for pair in pairs[name] for k in pair} <= RECORD_KEYS[name], name
+
+
+class TestPassRule:
+    """verify._record is the one pass rule: every value strictly below its tolerance."""
+
+    @staticmethod
+    def record(suite, scale=0.5, **changes):
+        """The record of suite with each value at scale times its tolerance, then changes."""
+        limits = qcwaves.verify.LIMITS[suite]
+        measured = {value: scale * tolerance for value, _, tolerance in limits}
+        if suite == "dirac-flux":
+            measured["monotone"] = True
+        return qcwaves.verify._record(suite, **{**measured, **changes})
+
+    @pytest.mark.parametrize("suite", sorted(qcwaves.verify.LIMITS))
+    def test_values_below_their_tolerances_pass(self, suite):
+        record = self.record(suite)
+        assert record["status"] == "pass"
+        for value, key, tolerance in qcwaves.verify.LIMITS[suite]:
+            assert record[key] == tolerance and record[value] == 0.5 * tolerance
+
+    @pytest.mark.parametrize("suite", sorted(qcwaves.verify.LIMITS))
+    def test_a_value_equal_to_its_tolerance_fails(self, suite):
+        assert self.record(suite, scale=1.0)["status"] == "fail"
+        for value, _, tolerance in qcwaves.verify.LIMITS[suite]:
+            assert self.record(suite, **{value: tolerance})["status"] == "fail", value
+
+    @pytest.mark.parametrize("suite", sorted(qcwaves.verify.LIMITS))
+    def test_a_nan_value_fails(self, suite):
+        for value, _, _ in qcwaves.verify.LIMITS[suite]:
+            assert self.record(suite, **{value: math.nan})["status"] == "fail", value
+
+    def test_dirac_flux_must_be_monotone(self):
+        record = self.record("dirac-flux", monotone=False)
+        assert record["status"] == "fail" and record["monotone"] is False
 
 
 class TestNanResult:
