@@ -40,11 +40,10 @@ def check_field_point(x) -> None:
     """Raise PointOutsideHalfPlane naming the first point of x ((2,) or (N, 2)) with x2 > 0."""
     if len(x) == 2 and isinstance(x[0], (float, int)) and not float(x[1]) > 0.0:
         return  # one point inside: no numpy round trip
-    pts = np.asarray(x, dtype=float).reshape(-1, 2)
+    pts = kernels._points(x)[0]
     outside = pts[:, 1] > 0.0
-    first = outside.argmax()  # the first True, or 0 when none is
-    if outside[first]:
-        x1, x2 = pts[first].tolist()
+    if outside.any():
+        x1, x2 = pts[outside.argmax()].tolist()  # the first point outside
         raise PointOutsideHalfPlane(f"field point ({x1}, {x2}) must have x2 <= 0")
 
 

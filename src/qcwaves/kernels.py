@@ -42,7 +42,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, NonUnitNormal, SourceCoincidesWithField
+from .errors import DomainError, NonUnitNormal, SourceCoincidesWithField, ValidationError
 from .material import QcMaterial, SpectralDecomposition, decompose, wave_parameters
 from .specfun import macdonald_k0_neg_i, macdonald_k1_neg_i
 
@@ -75,6 +75,14 @@ def check_normal(n) -> tuple[float, float]:
     if not abs(math.hypot(n1, n2) - 1.0) <= 1e-12:
         raise NonUnitNormal(f"normal {n} does not have unit length")
     return n1, n2
+
+
+def _points(x) -> tuple[np.ndarray, bool]:
+    """x as (N, 2) float points, and whether it was one point; ValidationError for another shape."""
+    pts = np.asarray(x, dtype=float)
+    if pts.shape != (2,) and (pts.ndim != 2 or pts.shape[1] != 2):
+        raise ValidationError(f"points must have shape (2,) or (N, 2); got {pts.shape}")
+    return pts.reshape(-1, 2), pts.ndim == 1
 
 
 def _modal(d: SpectralDecomposition, f1: complex, f2: complex) -> tuple[complex, complex, complex]:

@@ -148,6 +148,8 @@ def _axis(value, key: str, where: str) -> tuple[float, float, int]:
     lo, hi, count = _number(value[0], key, where), _number(value[1], key, where), value[2]
     if isinstance(count, bool) or not isinstance(count, int):
         raise ParseError(f"{where}: {key} count must be an integer")
+    if count < 1:
+        raise ParseError(f"{where}: {key} count must be >= 1; got {count}")
     return (lo, hi, count)
 
 
@@ -339,9 +341,6 @@ def validate_scenario(s: Scenario, m: QcMaterial) -> Scenario:
     s = _reparse(s)
     material.wave_parameters(material.decompose(m), m.rho, s.omega)
     if s.grid is not None:
-        for axis, (lo, hi, count) in zip(("x1", "x2"), s.grid):
-            if count < 1:
-                raise ValidationError(f"grid {axis} count must be >= 1; got {count}")
         n_points = s.grid[0][2] * s.grid[1][2]
         if n_points > MAX_POINTS:
             raise ValidationError(f"grid has {n_points} points; at most {MAX_POINTS} are allowed")
@@ -360,19 +359,15 @@ def validate_scenario(s: Scenario, m: QcMaterial) -> Scenario:
     return s
 
 
+# The (displacement, traction) column stems, by whether the kind is a point source.
+_STEMS = {True: (("u31", "u32", "w31", "w32"), ("t31", "t32", "G31", "G32")),
+          False: (("u3", "w3"), ("t3", "G3"))}
+
+
 def csv_header(s: Scenario) -> list[str]:
-    if s.kind in POINT_SOURCE_KINDS:
-        cols = ["x1", "x2"]
-        for name in ("u31", "u32", "w31", "w32"):
-            cols += [f"{name}_re", f"{name}_im"]
-        if "traction" in s.outputs:
-            for name in ("t31", "t32", "G31", "G32"):
-                cols += [f"{name}_re", f"{name}_im"]
-        return cols
-    cols = ["x1", "x2", "u3_re", "u3_im", "w3_re", "w3_im"]
-    if "traction" in s.outputs:
-        cols += ["t3_re", "t3_im", "G3_re", "G3_im"]
-    return cols
+    displacement, traction = _STEMS[s.kind in POINT_SOURCE_KINDS]
+    stems = displacement + (traction if "traction" in s.outputs else ())
+    return ["x1", "x2", *(f"{stem}_{part}" for stem in stems for part in ("re", "im"))]
 
 
 def sample_rows(s: Scenario, m: QcMaterial, pts: np.ndarray) -> np.ndarray:

@@ -61,6 +61,8 @@ DEFAULT_SEED = 20240517
 # at k*r = 0.5, where the log-singular kernel has the largest fourth
 # derivatives relative to rho*omega^2*v.
 STEP_DIVISOR = 400.0
+_FLUX_NODES = 256  # trapezoid nodes of dirac_flux: spectrally accurate on a circle
+_SCAN_POINTS = 50  # boundary points of boundary_traction_scan
 
 # Pass thresholds of the suites, each reported next to the value it bounds.
 PDE_KERNEL_TOLERANCE = 1e-4  # O(h^2) stencil truncation at the default step
@@ -157,31 +159,23 @@ def pde_residual(
     return res_norm / ref_norm
 
 
-def dirac_flux(
-    m: QcMaterial,
-    xi,
-    omega: float,
-    eps: float,
-    n_nodes: int = 256,
-) -> np.ndarray:
+def dirac_flux(m: QcMaterial, xi, omega: float, eps: float) -> np.ndarray:
     """Trapezoid contour integral of the fundamental traction over |x-xi| = eps, a 2x2 matrix.
 
-    As eps -> 0 the flux tends to -I2 (the Dirac load of the governing
-    system); its deviation from -I2 is O(eps^2 ln eps), from the omitted
-    inertia term. Requires eps * max(k1, k2) < 0.1 and n_nodes >= 64.
+    The rule has _FLUX_NODES nodes. As eps -> 0 the flux tends to -I2 (the Dirac
+    load of the governing system); its deviation from -I2 is O(eps^2 ln eps), from
+    the omitted inertia term. Requires eps * max(k1, k2) < 0.1.
     """
     wp = wave_parameters(decompose(m), m.rho, omega)
     if not (eps > 0.0) or eps * wp.k2 >= 0.1:
         raise RadiusTooLarge(
             f"need 0 < eps * k2 < 0.1; got eps*k2 = {eps * wp.k2:g}"
         )
-    if n_nodes < 64:
-        raise ValueError(f"need n_nodes >= 64; got {n_nodes}")
     xi1, xi2 = float(xi[0]), float(xi[1])
     flux = np.zeros((2, 2), dtype=complex)
-    weight = 2.0 * math.pi * eps / n_nodes
-    for mnode in range(n_nodes):
-        theta = 2.0 * math.pi * mnode / n_nodes
+    weight = 2.0 * math.pi * eps / _FLUX_NODES
+    for mnode in range(_FLUX_NODES):
+        theta = 2.0 * math.pi * mnode / _FLUX_NODES
         n = (math.cos(theta), math.sin(theta))
         x = (xi1 + eps * n[0], xi2 + eps * n[1])
         flux += fundamental_traction(m, x, (xi1, xi2), omega, n) * weight
@@ -214,52 +208,46 @@ def decoupling_check(
 ) -> float:
     """At R3 = 0, the worst relative error of the kernels against the closed isotropic forms.
 
-    The fundamental solution must be diagonal with entries
-    K0(-i k r)/(2 pi c44) and K0(-i k r)/(2 pi K2); when the source lies in
-    the half-plane, points with x2 <= 0 are additionally checked against the
-    image-sum Green's form. Raises ValueError for R3 != 0 or no points.
+    The fundamental solution must be diagonal with entries K0(-i k r)/(2 pi c44)
+    and K0(-i k r)/(2 pi K2), and the half-plane Green's function the sum of
+    these at r and at the image distance. Every point is checked against both,
+    so the source must have xi2 < 0 and every point x2 <= 0; v* depends on
+    x - xi alone, so its check holds for the full plane. Raises ValueError for
+    R3 != 0 or no points, and the half-plane errors of green_displacement for a
+    source or point outside.
     """
     if m.R3 != 0.0:
         raise ValueError(f"decoupling check requires R3 = 0; got R3 = {m.R3}")
     if len(points) < 1:
         raise ValueError("need at least one point")
     validate(m)
+    xi_im = image_point(xi)
     worst = 0.0
-    half_plane_source = float(xi[1]) < 0.0
     for p in points:
-        r = math.dist(p, xi)
-        u_iso, w_iso = _isotropic_pair(m, omega, r)
+        u_iso, w_iso = _isotropic_pair(m, omega, math.dist(p, xi))
+        u_im, w_im = _isotropic_pair(m, omega, math.dist(p, xi_im))
         v = fundamental_displacement(m, p, xi, omega)
-        worst = _worst(worst, *_diagonal_errors(v, u_iso, w_iso))
-        if half_plane_source and float(p[1]) <= 0.0:
-            u_im, w_im = _isotropic_pair(m, omega, math.dist(p, image_point(xi)))
-            g = green_displacement(m, p, xi, omega)
-            worst = _worst(worst, *_diagonal_errors(g, u_iso + u_im, w_iso + w_im))
+        g = green_displacement(m, p, xi, omega)
+        worst = _worst(worst, *_diagonal_errors(v, u_iso, w_iso),
+                       *_diagonal_errors(g, u_iso + u_im, w_iso + w_im))
     return worst
 
 
-def boundary_traction_scan(
-    m: QcMaterial,
-    omega: float,
-    source_or_wave,
-    n_points: int = 50,
-    include_reflection: bool = True,
-) -> float:
-    """Maximum normalized traction magnitude over boundary points x2 = 0.
+def boundary_traction_scan(m: QcMaterial, omega: float, source_or_wave,
+                           include_reflection: bool = True) -> float:
+    """Maximum normalized traction magnitude over _SCAN_POINTS boundary points x2 = 0.
 
     For a source point, scans the half-plane Green's traction normalized by
     the single-source traction at the same point. For an IncidentWave, scans
     the half-plane free field normalized by the incident wave alone;
     ``include_reflection=False`` scans the unreflected incident wave instead
-    (negative control: the result is then O(1)). Raises ValueError for n_points < 1.
+    (negative control: the result is then O(1)).
     """
-    if n_points < 1:
-        raise ValueError(f"need n_points >= 1; got {n_points}")
     lam = _slow_wavelength(m, omega)
     normal = (0.0, 1.0)
     worst = 0.0
     if isinstance(source_or_wave, IncidentWave):
-        x1 = np.linspace(-5.0 * lam, 5.0 * lam, n_points)
+        x1 = np.linspace(-5.0 * lam, 5.0 * lam, _SCAN_POINTS)
         pts = np.column_stack([x1, np.zeros_like(x1)])
         t = freefield_traction(m, source_or_wave, omega, pts, normal,
                                half_plane=include_reflection)
@@ -268,7 +256,7 @@ def boundary_traction_scan(
         return float(_worst(worst, *ratios.tolist()))
     xi = (float(source_or_wave[0]), float(source_or_wave[1]))
     spread = 5.0 * max(lam, abs(xi[1]))
-    for x1 in np.linspace(xi[0] - spread, xi[0] + spread, n_points):
+    for x1 in np.linspace(xi[0] - spread, xi[0] + spread, _SCAN_POINTS):
         x = (float(x1), 0.0)
         t = green_traction(m, x, xi, omega, normal)
         ref = fundamental_traction(m, x, xi, omega, normal)
@@ -332,11 +320,11 @@ def _boundary_scan_suite(m: QcMaterial, omega: float, rng) -> dict:
     green_worst = 0.0
     for _ in range(5):
         xi = (rng.uniform(-lam, lam), rng.uniform(-2.0 * lam, -0.05 * lam))
-        green_worst = _worst(green_worst, boundary_traction_scan(m, omega, xi, n_points=50))
+        green_worst = _worst(green_worst, boundary_traction_scan(m, omega, xi))
     wave_worst = 0.0
     for mode in ("S1", "S2"):
         wave = _random_wave(mode, rng)
-        wave_worst = _worst(wave_worst, boundary_traction_scan(m, omega, wave, n_points=50))
+        wave_worst = _worst(wave_worst, boundary_traction_scan(m, omega, wave))
     return _record("boundary-scan", max_green_traction=green_worst,
                    max_freefield_traction=wave_worst)
 

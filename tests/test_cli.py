@@ -540,6 +540,8 @@ INVALID_SCENARIOS = [
      "'x3'"),
     ("repeated-output", _edit(freefield_scenario(), outputs=["traction", "traction"]),
      "'traction'"),
+    ("traction-without-normal", _edit(freefield_scenario(), outputs=["traction"], normal=None),
+     "normal"),
     # a nested key is named with its part, once
     ("wave-amplitude-not-a-number",
      _edit(freefield_scenario(), wave={"mode": "S1", "amplitude": ["a", 0.0], "phi": 0.6}),
@@ -647,6 +649,10 @@ DOCUMENT_MESSAGES = [
      "scenario file F.grid: x1 count must be an integer"),
     ("axis-count-bool", "scenario", _grid(x2=[0.0, 1.0, True]), ParseError,
      "scenario file F.grid: x2 count must be an integer"),
+    ("axis-count-zero", "scenario", _grid(x1=[0.0, 1.0, 0]), ParseError,
+     "scenario file F.grid: x1 count must be >= 1; got 0"),
+    ("axis-count-negative", "scenario", _grid(x2=[0.0, 1.0, -1]), ParseError,
+     "scenario file F.grid: x2 count must be >= 1; got -1"),
     ("points-empty", "scenario", _edit(freefield_scenario(), points=[]), ParseError,
      "scenario file F: key 'points' must be a non-empty list of pairs"),
     ("point-not-a-pair", "scenario", _edit(freefield_scenario(), points=[[1.0]]), ParseError,

@@ -149,7 +149,7 @@ valid_waves = st.fixed_dictionaries({
     "phi": st.just(1) | st.floats(0.0, math.pi / 2, exclude_min=True, exclude_max=True),
 })
 valid_grids = st.fixed_dictionaries({
-    axis: st.tuples(finite, finite, st.integers(-2, 10**9)).map(list) for axis in ("x1", "x2")
+    axis: st.tuples(finite, finite, st.integers(1, 10**9)).map(list) for axis in ("x1", "x2")
 })
 
 

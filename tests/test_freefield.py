@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from qcwaves import (
     NonUnitNormal,
     PointOutsideHalfPlane,
     QcMaterial,
+    ValidationError,
     decompose,
     freefield_stress,
     freefield_traction,
@@ -287,6 +289,25 @@ class TestArrayPoints:
         for kind, (small, large) in {"green-half": (1, 2), "freefield-half": (4, 16)}.items():
             extra = (large - small) * scenario._BLOCK_ROWS
             assert (peak(kind, large) - peak(kind, small)) / extra <= 48.0, kind
+
+    @pytest.mark.parametrize("shape", [(2, 3), (1, 2, 2), (3,), (1, 3), (0, 2)], ids=str)
+    @pytest.mark.parametrize("call", [
+        lambda x: fullplane_incident(M, WAVE1, OMEGA, x),
+        lambda x: halfplane_freefield(M, WAVE1, OMEGA, x),
+        lambda x: freefield_stress(M, WAVE1, OMEGA, x)[0],
+        lambda x: freefield_stress(M, WAVE1, OMEGA, x, half_plane=True)[0],
+        lambda x: freefield_traction(M, WAVE1, OMEGA, x, (0.0, 1.0)),
+        lambda x: freefield_traction(M, WAVE1, OMEGA, x, (0.0, 1.0), half_plane=True),
+    ], ids=["incident", "freefield", "stress", "stress-half", "traction", "traction-half"])
+    def test_point_shape(self, call, shape):
+        # one point (2,) or N points (N, 2), N = 0 included; no other shape is reshaped
+        x = -np.ones(shape)  # inside the half-plane
+        if shape == (0, 2):
+            assert call(x).shape == (0, 2)
+            return
+        message = f"points must have shape (2,) or (N, 2); got {shape}"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            call(x)
 
     def test_shapes(self):
         x = (0.3, -0.4)

@@ -15,8 +15,11 @@ from qcwaves import (
     DomainError,
     IncidentWave,
     NonPositiveFrequency,
+    PointOutsideHalfPlane,
     QcMaterial,
     RadiusTooLarge,
+    SourceOnBoundary,
+    SourceOutsideHalfPlane,
     StencilOutOfDomain,
     ValidationError,
     boundary_traction_scan,
@@ -97,13 +100,13 @@ class TestDiracFlux:
     def test_converges_to_minus_identity(self):
         wp = wave_parameters(decompose(M), M.rho, OMEGA)
         eps = 1e-3 / wp.k2
-        flux = dirac_flux(M, (0.3, -0.7), OMEGA, eps, n_nodes=256)
+        flux = dirac_flux(M, (0.3, -0.7), OMEGA, eps)
         assert flux.shape == (2, 2) and deviation(flux) < 1e-3
 
     def test_deviation_decreases_under_halving(self):
         wp = wave_parameters(decompose(M), M.rho, OMEGA)
         eps = 1e-3 / wp.k2
-        devs = [deviation(dirac_flux(M, (0.0, 0.0), OMEGA, eps / 2**i, n_nodes=256))
+        devs = [deviation(dirac_flux(M, (0.0, 0.0), OMEGA, eps / 2**i))
                 for i in range(4)]
         assert all(b < a for a, b in zip(devs, devs[1:]))
 
@@ -116,11 +119,6 @@ class TestDiracFlux:
         wp = wave_parameters(decompose(M), M.rho, OMEGA)
         with pytest.raises(RadiusTooLarge):
             dirac_flux(M, (0.0, 0.0), OMEGA, 0.2 / wp.k2)
-
-    def test_node_count_floor(self):
-        wp = wave_parameters(decompose(M), M.rho, OMEGA)
-        with pytest.raises(ValueError):
-            dirac_flux(M, (0.0, 0.0), OMEGA, 1e-3 / wp.k2, n_nodes=32)
 
 
 class TestDecoupling:
@@ -140,28 +138,32 @@ class TestDecoupling:
         with pytest.raises(ValueError, match="at least one point"):
             decoupling_check(M_DECOUPLED, OMEGA, [])
 
+    @pytest.mark.parametrize("xi, points, error", [
+        ((0.0, 1.0), [(0.5, -0.5)], SourceOutsideHalfPlane),
+        ((0.0, 0.0), [(0.5, -0.5)], SourceOnBoundary),
+        ((0.0, -1.0), [(0.5, -0.5), (0.5, 0.25)], PointOutsideHalfPlane),
+    ], ids=["source-above", "source-on-boundary", "point-above"])
+    def test_outside_half_plane_rejected(self, xi, points, error):
+        # every point is checked against the image-sum form too
+        with pytest.raises(error):
+            decoupling_check(M_DECOUPLED, OMEGA, points, xi=xi)
+
 
 class TestBoundaryScan:
     def test_green_function_boundary(self):
-        assert boundary_traction_scan(M, OMEGA, (0.2, -0.9), n_points=50) < 1e-10
+        assert boundary_traction_scan(M, OMEGA, (0.2, -0.9)) < 1e-10
 
     def test_freefield_boundary(self):
         for mode in ("S1", "S2"):
             wave = IncidentWave(mode=mode, amplitude=1.0, phi=0.6)
-            assert boundary_traction_scan(M, OMEGA, wave, n_points=50) < 1e-13
+            assert boundary_traction_scan(M, OMEGA, wave) < 1e-13
 
     def test_unreflected_wave_is_order_one(self):
         # negative control: without the reflected wave the boundary
         # traction does not cancel
         wave = IncidentWave(mode="S1", amplitude=1.0, phi=0.6)
-        value = boundary_traction_scan(M, OMEGA, wave, n_points=50,
-                                       include_reflection=False)
+        value = boundary_traction_scan(M, OMEGA, wave, include_reflection=False)
         assert value > 0.5
-
-    @pytest.mark.parametrize("source", [(0.2, -0.9), IncidentWave("S1", 1.0, 0.6)])
-    def test_zero_points_rejected(self, source):
-        with pytest.raises(ValueError, match="n_points"):
-            boundary_traction_scan(M, OMEGA, source, n_points=0)
 
 
 def test_reports_serialize_to_plain_dicts():
@@ -273,7 +275,7 @@ class TestNanResult:
             lambda p: qcwaves.verify.fundamental_displacement(M, p, (0.0, 0.0), OMEGA)[:, 0],
             M, OMEGA, (1.0, 0.5)))
         assert math.isnan(decoupling_check(M_DECOUPLED, OMEGA, [(0.5, -0.5)]))
-        assert math.isnan(boundary_traction_scan(M, OMEGA, (0.2, -0.9), n_points=5))
+        assert math.isnan(boundary_traction_scan(M, OMEGA, (0.2, -0.9)))
 
     def test_verify_exits_four(self, nan_kernels, tmp_path):
         path = tmp_path / "m.json"

@@ -17,9 +17,10 @@ with its ``src/`` on PYTHONPATH, on inputs written to a temporary directory:
 * ``verify`` on an R3 = 0 copy of the demo material at the same frequencies,
   where the decoupling suite runs instead of being skipped;
 * ``decompose`` on the demo material at 1, 6.283e6 and 1e9 rad/s, whose
-  stdout is kept as ``decompose.txt``.
+  stdout is kept as ``decompose.txt``;
+* ``demos/verification_tour.py``, whose stdout is kept as ``tour.txt``.
 
-For every output file (CSV, sidecar, report, ``decompose.txt``) it prints
+For every output file (CSV, sidecar, report, ``decompose.txt``, ``tour.txt``) it prints
 whether the bytes are identical. For every CSV it also prints the largest
 distance in units in the last place (ulp), counted only over entries of at
 least 1e-3 of their column's largest magnitude (round-off near a cancelling
@@ -101,8 +102,11 @@ def run_tree(src: Path, inputs: Path, out: Path) -> list[str]:
     with open(out / "decompose.txt", "wb") as fh:
         subprocess.run([sys.executable, "-m", "qcwaves.cli", "decompose", "--material", material,
                         "--omega", DECOMPOSE_OMEGAS], env=env, check=False, stdout=fh)
+    with open(out / "tour.txt", "wb") as fh:
+        subprocess.run([sys.executable, str(DEMOS / "verification_tour.py")], env=env,
+                       check=False, stdout=fh)
     return ([f"{name}.csv" for name in SAMPLES] + [f"{name}.csv.meta.json" for name in SAMPLES]
-            + list(VERIFY_REPORTS) + ["decompose.txt"])
+            + list(VERIFY_REPORTS) + ["decompose.txt", "tour.txt"])
 
 
 def ordered_bits(values: np.ndarray) -> np.ndarray:
