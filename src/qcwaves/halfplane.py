@@ -19,7 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernels  # checks and _symmetric via the module: a tracer counts evaluations only
-from .errors import PointOutsideHalfPlane, SourceOnBoundary, SourceOutsideHalfPlane
+from .errors import (PointOutsideHalfPlane, SourceOnBoundary, SourceOutsideHalfPlane,
+                     ValidationError)
 from .kernels import _displacement_entries, _traction_entries
 from .material import QcMaterial
 
@@ -28,7 +29,11 @@ __all__ = ["image_point", "check_field_point", "green_displacement", "green_trac
 
 def image_point(xi) -> tuple[float, float]:
     """Mirror a source at xi (xi2 < 0) across the boundary: (xi1, -xi2)."""
-    xi1, xi2 = float(xi[0]), float(xi[1])
+    try:
+        xi1, xi2 = xi
+        xi1, xi2 = float(xi1), float(xi2)
+    except (TypeError, ValueError):
+        raise ValidationError(f"source xi must be a pair of numbers; got {xi!r}") from None
     if xi2 == 0.0:
         raise SourceOnBoundary("source on x2 = 0: image construction degenerates")
     if xi2 > 0.0:

@@ -31,7 +31,8 @@ the coordinates (so it holds at any length scale, and r = 0 is always
 rejected), below which SourceCoincidesWithField is raised (no regularized
 self-term is provided). The coordinates are scaled before the norm, so the
 floor cannot overflow. A separation that is not finite (an infinite or NaN
-coordinate, or r beyond the float range) raises DomainError.
+coordinate, or r beyond the float range) raises DomainError, and a point,
+source or normal that is not a pair of numbers a ValidationError naming it.
 All functions are pure and safe to call concurrently: the memos of
 decompose and wave_parameters only ever return what a fresh call would.
 """
@@ -58,7 +59,16 @@ TWO_PI = 2.0 * math.pi
 
 
 def _separation(x, xi) -> tuple[float, float, float]:
-    x1, x2, xi1, xi2 = float(x[0]), float(x[1]), float(xi[0]), float(xi[1])
+    try:
+        x1, x2 = x
+        x1, x2 = float(x1), float(x2)
+    except (TypeError, ValueError):
+        raise ValidationError(f"field point x must be a pair of numbers; got {x!r}") from None
+    try:
+        xi1, xi2 = xi
+        xi1, xi2 = float(xi1), float(xi2)
+    except (TypeError, ValueError):
+        raise ValidationError(f"source xi must be a pair of numbers; got {xi!r}") from None
     r1, r2 = x1 - xi1, x2 - xi2
     r = math.hypot(r1, r2)
     r_min = max(math.hypot(1e-12 * x1, 1e-12 * x2), math.hypot(1e-12 * xi1, 1e-12 * xi2))
@@ -71,7 +81,11 @@ def _separation(x, xi) -> tuple[float, float, float]:
 
 def check_normal(n) -> tuple[float, float]:
     """Return n as (n1, n2); raise NonUnitNormal unless |n| = 1 to 1e-12."""
-    n1, n2 = float(n[0]), float(n[1])
+    try:
+        n1, n2 = n
+        n1, n2 = float(n1), float(n2)
+    except (TypeError, ValueError):
+        raise ValidationError(f"normal n must be a pair of numbers; got {n!r}") from None
     if not abs(math.hypot(n1, n2) - 1.0) <= 1e-12:
         raise NonUnitNormal(f"normal {n} does not have unit length")
     return n1, n2

@@ -12,13 +12,13 @@ reproducible bit for bit. Every reduction is ``_worst``, a max that returns
 NaN if any value is NaN (the builtin ``max(0.0, nan)`` is 0.0), so a NaN
 result fails its check.
 
-Each check returns what it measured: a worst relative value as a float, or
-for ``dirac_flux`` the 2x2 flux matrix. It decides nothing. ``SUITES`` maps
-each ``qcwaves verify`` suite name to a runner ``(m, omega, rng) -> dict``
-that samples its layout from ``rng`` and returns ``_record`` of what it
-measured: its ``status`` by the pass rule of ``LIMITS``, the values and their
-tolerances. ``run`` is the whole ``qcwaves verify`` run: it seeds
-each (omega, suite) pair with its own generator and yields the records.
+Each check returns what it measured: a worst relative value as a float, or for
+``dirac_flux`` the 2x2 flux matrix, which the ``dirac-flux`` suite reads at the one radius
+eps = 1e-6 / k2. It decides nothing. ``SUITES`` maps each ``qcwaves verify`` suite name to
+a runner ``(m, omega, rng) -> dict`` that samples its layout from ``rng`` and returns
+``_record`` of what it measured: its ``status`` by the pass rule of ``LIMITS`` alone, the
+values and their tolerances. ``run`` is the whole ``qcwaves verify`` run: it seeds each
+(omega, suite) pair with its own generator and yields the records.
 """
 
 from __future__ import annotations
@@ -67,13 +67,13 @@ _SCAN_POINTS = 50  # boundary points of boundary_traction_scan
 # Pass thresholds of the suites, each reported next to the value it bounds.
 PDE_KERNEL_TOLERANCE = 1e-4  # O(h^2) stencil truncation at the default step
 PDE_WAVE_TOLERANCE = 1e-6  # smooth plane waves on a 1/3000-wavelength stencil
-DIRAC_FLUX_TOLERANCE = 1e-3  # omitted inertia term at eps * k2 = 1e-3
+DIRAC_FLUX_TOLERANCE = 1.2e-10  # omitted inertia term at eps * k2 = 1e-6: at most 1.03e-11
 GREEN_TRACTION_TOLERANCE = 1e-10  # image cancellation relative to one source
 FREEFIELD_TRACTION_TOLERANCE = 1e-13  # exactly zero up to round-off
 DECOUPLING_TOLERANCE = 1e-12  # same K0 values through two routes
 
 # The (value key, tolerance key, tolerance) of each value a suite's record bounds. A record
-# passes when every value is below its tolerance (NaN is not) and no "monotone" is false.
+# passes when every value is below its tolerance (NaN is not); no suite adds a rule of its own.
 LIMITS = {
     "pde-residual": (("max_kernel_residual", "kernel_tolerance", PDE_KERNEL_TOLERANCE),
                      ("max_wave_residual", "wave_tolerance", PDE_WAVE_TOLERANCE)),
@@ -89,7 +89,7 @@ def _record(suite: str, **measured) -> dict:
     """What suite measured, with the tolerances of LIMITS[suite] and the status they give."""
     limits = LIMITS[suite]
     passed = all(measured[value] < tol for value, _, tol in limits)
-    return {"status": "pass" if passed and measured.get("monotone", True) else "fail",
+    return {"status": "pass" if passed else "fail",
             **measured, **{key: tol for _, key, tol in limits}}
 
 
@@ -298,11 +298,9 @@ def _pde_residual_suite(m: QcMaterial, omega: float, rng) -> dict:
 
 
 def _dirac_flux_suite(m: QcMaterial, omega: float, rng) -> dict:
-    eps = 1e-3 / wave_parameters(decompose(m), m.rho, omega).k2
-    deviations = [float(np.linalg.norm(dirac_flux(m, (0.0, 0.0), omega, eps / 2**i) + np.eye(2)))
-                  for i in range(4)]
-    return _record("dirac-flux", deviation=deviations[0], deviations_under_halving=deviations,
-                   monotone=all(b < a for a, b in zip(deviations, deviations[1:])))
+    eps = 1e-6 / wave_parameters(decompose(m), m.rho, omega).k2  # normal while k2 <= 4.5e301
+    deviation = np.linalg.norm(dirac_flux(m, (0.0, 0.0), omega, eps) + np.eye(2))
+    return _record("dirac-flux", deviation=float(deviation))
 
 
 def _decoupling_suite(m: QcMaterial, omega: float, rng) -> dict:

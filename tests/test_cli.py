@@ -296,6 +296,18 @@ class TestVerify:
         # rho omega^2 v overflows its norm from omega ~ 1e99 unless divided out
         assert cli.main(["verify", "--material", material_file, "--omega", "1e99,1e200"]) == 0
 
+    @pytest.mark.filterwarnings("error")
+    def test_dirac_flux_fails_above_its_frequency_bound(self, material_file, tmp_path, capsys):
+        # k2 = omega here; eps = 1e-6 / k2 is subnormal above 4.5e301 and the traction on
+        # the circle overflows from about 5e302, so the flux reads NaN and the record fails
+        report = tmp_path / "report.json"
+        assert cli.main(["verify", "--material", material_file, "--omega", "4.5e301,1e304",
+                         "--suite", "dirac-flux", "--report", str(report)]) == 4
+        checks = json.loads(report.read_text())["checks"]
+        assert [c["status"] for c in checks] == ["pass", "fail"]
+        assert math.isnan(checks[1]["deviation"])
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_negative_seed_is_validation_error(self, material_file, capsys):
         assert cli.main(["verify", "--material", material_file, "--seed", "-1"]) == 2
         assert "--seed" in capsys.readouterr().err

@@ -11,12 +11,14 @@ from qcwaves import (
     NonUnitNormal,
     QcMaterial,
     SourceCoincidesWithField,
+    ValidationError,
     decompose,
     freefield_traction,
     fundamental_displacement,
     fundamental_gradient,
     fundamental_stress,
     fundamental_traction,
+    green_displacement,
     green_traction,
     macdonald_k0_neg_i,
     macdonald_k1_neg_i,
@@ -93,6 +95,25 @@ def test_coincidence_floor_does_not_overflow():
     # r = 1e307 is far above the floor, though 1e-12 * |x| overflows when the norm comes first
     v = fundamental_displacement(M, (1.7e308, 1.7e308), (1.7e308, 1.6e308), 1e-305)
     assert v.shape == (2, 2) and np.all(np.isfinite(v))
+
+
+WRONG_SHAPES = {"three numbers": lambda v: (*v, 7.0), "one number": lambda v: v[:1],
+                "(2, 3) array": lambda v: np.ones((2, 3))}
+
+
+@pytest.mark.parametrize("shape", WRONG_SHAPES)
+@pytest.mark.parametrize("f", [fundamental_displacement, fundamental_gradient, fundamental_stress,
+                               fundamental_traction, green_displacement, green_traction],
+                         ids=lambda f: f.__name__)
+def test_points_and_normals_must_be_pairs(f, shape):
+    args = {"x": (0.5, -2.0), "xi": (0.0, -1.0)}
+    if f in (fundamental_traction, green_traction):
+        args["n"] = (0.0, 1.0)
+    # halfplane.check_field_point already names a wrong-shaped field point of a green_*
+    for name in [a for a in args if not (a == "x" and f.__name__.startswith("green"))]:
+        wrong = {**args, name: WRONG_SHAPES[shape](args[name])}
+        with pytest.raises(ValidationError, match=rf"\b{name} must be a pair of numbers"):
+            f(M, wrong["x"], wrong["xi"], OMEGA, *([wrong["n"]] if "n" in wrong else []))
 
 
 class TestGradient:
