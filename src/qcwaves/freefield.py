@@ -25,10 +25,10 @@ cancel), so k_mode^2 = rho omega^2 / a_mode makes the equations of motion
 hold to round-off. Grazing and normal incidence (phi = 0, pi/2) are rejected.
 
 Every field function takes x as one point, shape (2,), or N points, shape
-(N, 2), and then gives results with a leading axis of length N; another shape
-is a ValidationError. Set-up and checks run once per call. Complex products are
-formed from separate real and imaginary float arrays, so a point gives the same
-bits alone or among others.
+(N, 2), and then gives results with a leading axis of length N; any other x is
+one point that is not a pair, the ValidationError of kernels._pair. Set-up and
+checks run once per call. Complex products are formed from separate real and
+imaginary float arrays, so a point gives the same bits alone or among others.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ def _plane_wave(m: QcMaterial, wave: IncidentWave, omega: float, x, half_plane: 
     (and reflected) wave as a (1 or 2, N, re/im) array, and whether x was one
     point. The half-plane and finite-phase checks name the first offending point.
     """
-    pts, single = kernels._points(x)
+    pts, single = kernels._points(x, "field point x")
     if half_plane:
         halfplane.check_field_point(pts)
     wp = wave_parameters(d := decompose(m), m.rho, omega)

@@ -11,7 +11,9 @@ outside, so its kernel is regular there) and has exactly zero phonon and
 phason traction on x2 = 0: the normal derivative of the image term is the
 negative of that of the direct term on the boundary. Evaluating the
 displacement on the boundary itself is allowed; only a source on the
-boundary is rejected, because source and image would coincide.
+boundary is rejected, because source and image would coincide. A field point
+or source that is not a pair of numbers raises the ValidationError of
+kernels._pair, through the green_* functions as through the full-plane kernels.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernels  # checks and _symmetric via the module: a tracer counts evaluations only
-from .errors import (PointOutsideHalfPlane, SourceOnBoundary, SourceOutsideHalfPlane,
-                     ValidationError)
+from .errors import PointOutsideHalfPlane, SourceOnBoundary, SourceOutsideHalfPlane
 from .kernels import _displacement_entries, _traction_entries
 from .material import QcMaterial
 
@@ -29,11 +30,7 @@ __all__ = ["image_point", "check_field_point", "green_displacement", "green_trac
 
 def image_point(xi) -> tuple[float, float]:
     """Mirror a source at xi (xi2 < 0) across the boundary: (xi1, -xi2)."""
-    try:
-        xi1, xi2 = xi
-        xi1, xi2 = float(xi1), float(xi2)
-    except (TypeError, ValueError):
-        raise ValidationError(f"source xi must be a pair of numbers; got {xi!r}") from None
+    xi1, xi2 = kernels._pair(xi, "source xi")
     if xi2 == 0.0:
         raise SourceOnBoundary("source on x2 = 0: image construction degenerates")
     if xi2 > 0.0:
@@ -42,13 +39,17 @@ def image_point(xi) -> tuple[float, float]:
 
 
 def check_field_point(x) -> None:
-    """Raise PointOutsideHalfPlane naming the first point of x ((2,) or (N, 2)) with x2 > 0."""
-    if len(x) == 2 and isinstance(x[0], (float, int)) and not float(x[1]) > 0.0:
-        return  # one point inside: no numpy round trip
-    pts = kernels._points(x)[0]
-    outside = pts[:, 1] > 0.0
-    if outside.any():
+    """Raise PointOutsideHalfPlane naming the first point of x with x2 > 0, x read as
+    kernels._points reads it: N points of shape (N, 2), or one point."""
+    if isinstance(x, (tuple, list)) and len(x) == 2 and isinstance(x[0], (float, int)):
+        x1, x2 = kernels._pair(x, "field point x")  # one point: no numpy round trip
+    else:
+        pts = kernels._points(x, "field point x")[0]
+        outside = pts[:, 1] > 0.0
+        if not outside.any():
+            return
         x1, x2 = pts[outside.argmax()].tolist()  # the first point outside
+    if x2 > 0.0:
         raise PointOutsideHalfPlane(f"field point ({x1}, {x2}) must have x2 <= 0")
 
 

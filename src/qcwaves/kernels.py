@@ -31,8 +31,9 @@ the coordinates (so it holds at any length scale, and r = 0 is always
 rejected), below which SourceCoincidesWithField is raised (no regularized
 self-term is provided). The coordinates are scaled before the norm, so the
 floor cannot overflow. A separation that is not finite (an infinite or NaN
-coordinate, or r beyond the float range) raises DomainError, and a point,
-source or normal that is not a pair of numbers a ValidationError naming it.
+coordinate, or r beyond the float range) raises DomainError. _pair is the one rule
+that a point, source or normal is a pair of numbers, with a ValidationError naming the
+argument; _points reads x of shape (N, 2) as N points, and any other x through _pair.
 All functions are pure and safe to call concurrently: the memos of
 decompose and wave_parameters only ever return what a fresh call would.
 """
@@ -58,17 +59,31 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 
+def _pair(v, name: str) -> tuple[float, float]:
+    """v as (v1, v2): the one rule that a point, source, normal or stencil centre is a pair
+    of numbers. Anything else raises a ValidationError naming it."""
+    try:
+        v1, v2 = v
+        return float(v1), float(v2)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be a pair of numbers; got {v!r}") from None
+
+
+def _points(x, name: str) -> tuple[np.ndarray, bool]:
+    """x as (N, 2) float points, and whether it was one point: x of shape (N, 2) is N
+    points, and anything else one point, which _pair reads (and names if it is not a pair)."""
+    try:
+        pts = np.asarray(x, dtype=float)
+        if pts.ndim == 2 and pts.shape[1] == 2:
+            return pts, False
+    except (TypeError, ValueError):  # ragged or not numbers: not N points
+        pass
+    return np.array([_pair(x, name)]), True
+
+
 def _separation(x, xi) -> tuple[float, float, float]:
-    try:
-        x1, x2 = x
-        x1, x2 = float(x1), float(x2)
-    except (TypeError, ValueError):
-        raise ValidationError(f"field point x must be a pair of numbers; got {x!r}") from None
-    try:
-        xi1, xi2 = xi
-        xi1, xi2 = float(xi1), float(xi2)
-    except (TypeError, ValueError):
-        raise ValidationError(f"source xi must be a pair of numbers; got {xi!r}") from None
+    x1, x2 = _pair(x, "field point x")
+    xi1, xi2 = _pair(xi, "source xi")
     r1, r2 = x1 - xi1, x2 - xi2
     r = math.hypot(r1, r2)
     r_min = max(math.hypot(1e-12 * x1, 1e-12 * x2), math.hypot(1e-12 * xi1, 1e-12 * xi2))
@@ -81,22 +96,10 @@ def _separation(x, xi) -> tuple[float, float, float]:
 
 def check_normal(n) -> tuple[float, float]:
     """Return n as (n1, n2); raise NonUnitNormal unless |n| = 1 to 1e-12."""
-    try:
-        n1, n2 = n
-        n1, n2 = float(n1), float(n2)
-    except (TypeError, ValueError):
-        raise ValidationError(f"normal n must be a pair of numbers; got {n!r}") from None
+    n1, n2 = _pair(n, "normal n")
     if not abs(math.hypot(n1, n2) - 1.0) <= 1e-12:
         raise NonUnitNormal(f"normal {n} does not have unit length")
     return n1, n2
-
-
-def _points(x) -> tuple[np.ndarray, bool]:
-    """x as (N, 2) float points, and whether it was one point; ValidationError for another shape."""
-    pts = np.asarray(x, dtype=float)
-    if pts.shape != (2,) and (pts.ndim != 2 or pts.shape[1] != 2):
-        raise ValidationError(f"points must have shape (2,) or (N, 2); got {pts.shape}")
-    return pts.reshape(-1, 2), pts.ndim == 1
 
 
 def _modal(d: SpectralDecomposition, f1: complex, f2: complex) -> tuple[complex, complex, complex]:

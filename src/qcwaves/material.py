@@ -96,11 +96,6 @@ class SpectralDecomposition:
     def sin_psi(self) -> float:
         return math.sin(self.psi)
 
-    def rotation(self) -> np.ndarray:
-        """The orthogonal matrix Q with eigenvector columns."""
-        c, s = self.cos_psi, self.sin_psi
-        return np.array([[c, -s], [s, c]])
-
 
 @dataclass(frozen=True)
 class WaveParameters:

@@ -18,7 +18,10 @@ eps = 1e-6 / k2. It decides nothing. ``SUITES`` maps each ``qcwaves verify`` sui
 a runner ``(m, omega, rng) -> dict`` that samples its layout from ``rng`` and returns
 ``_record`` of what it measured: its ``status`` by the pass rule of ``LIMITS`` alone, the
 values and their tolerances. ``run`` is the whole ``qcwaves verify`` run: it seeds each
-(omega, suite) pair with its own generator and yields the records.
+(omega, suite) pair with its own generator and yields the records, after rejecting any omega
+below the band k1 >= 1e-300, where a layout would leave the float range. The checks read
+their points and sources through kernels._pair, so one that is not a pair of numbers is a
+ValidationError naming it, and an overflow inside a check reads inf or NaN, so it fails.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from . import kernels  # the pair rule via the module, as halfplane and freefield call it
 from .errors import RadiusTooLarge, StencilOutOfDomain, ValidationError
 from .freefield import IncidentWave, freefield_traction, fullplane_incident
 from .halfplane import green_displacement, green_traction, image_point
@@ -63,6 +67,9 @@ DEFAULT_SEED = 20240517
 STEP_DIVISOR = 400.0
 _FLUX_NODES = 256  # trapezoid nodes of dirac_flux: spectrally accurate on a circle
 _SCAN_POINTS = 50  # boundary points of boundary_traction_scan
+# The verify band's low end: the layouts reach 18 / k1 and 22 slow wavelengths, which leave
+# the float range below k1 = 6.2e-307 (measured at k1 = k2), 1.6e6 times below this.
+_K1_MIN = 1e-300
 
 # Pass thresholds of the suites, each reported next to the value it bounds.
 PDE_KERNEL_TOLERANCE = 1e-4  # O(h^2) stencil truncation at the default step
@@ -122,13 +129,8 @@ def default_step(m: QcMaterial, omega: float, r: Optional[float] = None) -> floa
     return lam / STEP_DIVISOR
 
 
-def pde_residual(
-    field: Callable[[tuple[float, float]], Sequence[complex]],
-    m: QcMaterial,
-    omega: float,
-    at,
-    h: Optional[float] = None,
-) -> float:
+def pde_residual(field: Callable[[tuple[float, float]], Sequence[complex]], m: QcMaterial,
+                 omega: float, at, h: Optional[float] = None) -> float:
     """Relative residual of C * Laplacian(field) + rho omega^2 field = 0 at a point.
 
     The Laplacian is the standard 5-point stencil with step h (default:
@@ -144,16 +146,17 @@ def pde_residual(
         h = default_step(m, omega)
     if not 0.0 < h < math.inf:
         raise ValueError(f"need finite h > 0; got {h}")
-    x1, x2 = float(at[0]), float(at[1])
+    x1, x2 = kernels._pair(at, "stencil centre at")
     stencil = [(x1, x2), (x1 + h, x2), (x1 - h, x2), (x1, x2 + h), (x1, x2 - h)]
     try:
         vals = [np.asarray(field(p), dtype=complex) for p in stencil]
     except Exception as exc:
         raise StencilOutOfDomain(f"field evaluation failed on the stencil: {exc}") from exc
     center = vals[0]
-    lap = (vals[1] + vals[2] + vals[3] + vals[4] - 4.0 * center) / (omega * h) / (omega * h)
-    residual = (m.matrix() / m.rho) @ lap + center
-    res_norm, ref_norm = _norm(residual), _norm(center)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads inf or NaN: a fail
+        lap = (vals[1] + vals[2] + vals[3] + vals[4] - 4.0 * center) / (omega * h) / (omega * h)
+        residual = (m.matrix() / m.rho) @ lap + center
+        res_norm, ref_norm = _norm(residual), _norm(center)
     if ref_norm == 0.0:
         return 0.0 if res_norm == 0.0 else math.inf
     return res_norm / ref_norm
@@ -168,10 +171,8 @@ def dirac_flux(m: QcMaterial, xi, omega: float, eps: float) -> np.ndarray:
     """
     wp = wave_parameters(decompose(m), m.rho, omega)
     if not (eps > 0.0) or eps * wp.k2 >= 0.1:
-        raise RadiusTooLarge(
-            f"need 0 < eps * k2 < 0.1; got eps*k2 = {eps * wp.k2:g}"
-        )
-    xi1, xi2 = float(xi[0]), float(xi[1])
+        raise RadiusTooLarge(f"need 0 < eps * k2 < 0.1; got eps*k2 = {eps * wp.k2:g}")
+    xi1, xi2 = kernels._pair(xi, "source xi")
     flux = np.zeros((2, 2), dtype=complex)
     weight = 2.0 * math.pi * eps / _FLUX_NODES
     for mnode in range(_FLUX_NODES):
@@ -184,13 +185,8 @@ def dirac_flux(m: QcMaterial, xi, omega: float, eps: float) -> np.ndarray:
 
 def _isotropic_pair(m: QcMaterial, omega: float, r: float) -> tuple[complex, complex]:
     """Closed uncoupled forms: diagonal of v* at R3 = 0, coded directly."""
-    k_u = omega * math.sqrt(m.rho / m.c44)
-    k_w = omega * math.sqrt(m.rho / m.K2)
-    two_pi = 2.0 * math.pi
-    return (
-        macdonald_k0_neg_i(k_u * r) / (two_pi * m.c44),
-        macdonald_k0_neg_i(k_w * r) / (two_pi * m.K2),
-    )
+    return tuple(macdonald_k0_neg_i(omega * math.sqrt(m.rho / a) * r) / (2.0 * math.pi * a)
+                 for a in (m.c44, m.K2))
 
 
 def _diagonal_errors(v: np.ndarray, u: complex, w: complex) -> tuple[float, ...]:
@@ -200,12 +196,7 @@ def _diagonal_errors(v: np.ndarray, u: complex, w: complex) -> tuple[float, ...]
             float(abs(v[0, 1]) / scale), float(abs(v[1, 0]) / scale))
 
 
-def decoupling_check(
-    m: QcMaterial,
-    omega: float,
-    points: Sequence,
-    xi=(0.0, -1.0),
-) -> float:
+def decoupling_check(m: QcMaterial, omega: float, points: Sequence, xi=(0.0, -1.0)) -> float:
     """At R3 = 0, the worst relative error of the kernels against the closed isotropic forms.
 
     The fundamental solution must be diagonal with entries K0(-i k r)/(2 pi c44)
@@ -221,11 +212,12 @@ def decoupling_check(
     if len(points) < 1:
         raise ValueError("need at least one point")
     validate(m)
-    xi_im = image_point(xi)
+    im1, im2 = image_point(xi)  # (xi1, -xi2)
     worst = 0.0
-    for p in points:
-        u_iso, w_iso = _isotropic_pair(m, omega, math.dist(p, xi))
-        u_im, w_im = _isotropic_pair(m, omega, math.dist(p, xi_im))
+    for i, p in enumerate(points):
+        x1, x2 = kernels._pair(p, f"points[{i}]")
+        u_iso, w_iso = _isotropic_pair(m, omega, math.hypot(x1 - im1, x2 + im2))
+        u_im, w_im = _isotropic_pair(m, omega, math.hypot(x1 - im1, x2 - im2))
         v = fundamental_displacement(m, p, xi, omega)
         g = green_displacement(m, p, xi, omega)
         worst = _worst(worst, *_diagonal_errors(v, u_iso, w_iso),
@@ -249,12 +241,13 @@ def boundary_traction_scan(m: QcMaterial, omega: float, source_or_wave,
     if isinstance(source_or_wave, IncidentWave):
         x1 = np.linspace(-5.0 * lam, 5.0 * lam, _SCAN_POINTS)
         pts = np.column_stack([x1, np.zeros_like(x1)])
-        t = freefield_traction(m, source_or_wave, omega, pts, normal,
-                               half_plane=include_reflection)
-        ref = freefield_traction(m, source_or_wave, omega, pts, normal, half_plane=False)
-        ratios = np.max(np.abs(t), axis=1) / np.max(np.abs(ref), axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or 0/0 reads NaN: a fail
+            t = freefield_traction(m, source_or_wave, omega, pts, normal,
+                                   half_plane=include_reflection)
+            ref = freefield_traction(m, source_or_wave, omega, pts, normal, half_plane=False)
+            ratios = np.max(np.abs(t), axis=1) / np.max(np.abs(ref), axis=1)
         return float(_worst(worst, *ratios.tolist()))
-    xi = (float(source_or_wave[0]), float(source_or_wave[1]))
+    xi = kernels._pair(source_or_wave, "source_or_wave")
     spread = 5.0 * max(lam, abs(xi[1]))
     for x1 in np.linspace(xi[0] - spread, xi[0] + spread, _SCAN_POINTS):
         x = (float(x1), 0.0)
@@ -344,9 +337,14 @@ def run(m: QcMaterial, omegas: Sequence[float], suites: Sequence[str] = tuple(SU
     Each (omega, suite) pair draws from ``np.random.default_rng((seed, k))``, k the suite's
     position in SUITES, so a record depends only on m, omega, the suite and the seed, not on
     which suites run or in what order. Before any suite runs, wave_table checks m and omegas,
-    and an empty suite list, an unknown or repeated name or a negative seed raises ValidationError.
+    and an omega below the band (k1 < 1e-300), an empty suite list, an unknown or repeated
+    name or a negative seed raises ValidationError.
     """
     waves = wave_table(m, omegas)
+    for wp in waves:
+        if not wp.k1 >= _K1_MIN:
+            raise ValidationError(f"--omega {wp.omega:g} is below the verify band: k1 = "
+                                  f"{wp.k1:g} must be at least {_K1_MIN:g}")
     if not suites:
         raise ValidationError("empty suite list")
     for i, name in enumerate(suites):

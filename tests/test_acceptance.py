@@ -28,7 +28,7 @@ from qcwaves import (
 from qcwaves.scenario import load_material, load_scenario, scenario_points
 
 from oracles import oracle_j0, oracle_j1, oracle_y0, oracle_y1
-from test_material import random_material
+from test_material import random_material, rotation
 from test_freefield import dispersion_residual
 
 import qcwaves.specfun as specfun
@@ -50,7 +50,7 @@ def test_criterion_01_spectral_reconstruction():
     for _ in range(1000):
         m = random_material(rng)
         d = decompose(m)
-        q = d.rotation()
+        q = rotation(d)
         err = np.linalg.norm(q @ np.diag([d.a1, d.a2]) @ q.T - m.matrix())
         worst = max(worst, err / np.linalg.norm(m.matrix()))
     elapsed = time.perf_counter() - t0

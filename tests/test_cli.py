@@ -308,6 +308,19 @@ class TestVerify:
         assert math.isnan(checks[1]["deviation"])
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("omega, suites", [
+        ("1e-310", ",".join(verify.SUITES)),  # the slow wavelength overflows: h = inf
+        ("1e-313", "dirac-flux,decoupling,boundary-scan"),  # rng.uniform's range overflows
+    ])
+    def test_omega_below_the_band_is_one_error_line(self, material_file, capsys, omega, suites):
+        assert cli.main(["verify", "--material", material_file, "--omega", f"1.0,{omega}",
+                         "--suite", suites]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""  # before any record
+        assert err.splitlines() == [f"error: --omega {omega} is below the verify band: "
+                                    f"k1 = {float(omega) / 3**0.5:g} must be at least 1e-300"]
+
     def test_negative_seed_is_validation_error(self, material_file, capsys):
         assert cli.main(["verify", "--material", material_file, "--seed", "-1"]) == 2
         assert "--seed" in capsys.readouterr().err

@@ -1,7 +1,9 @@
-"""The defect matrix: which ``qcwaves verify`` suite sees which defect of the kernels.
+"""The defect matrix: which ``qcwaves verify`` suite sees which defect of the kernels
+and of the free fields.
 
 Each row plants one defect in the kernels' view of the material, of the
-cylinder functions or of the image source, runs every suite through
+cylinder functions or of the image source, or in the free fields' view (their
+wavenumber, mode vector zeta, stress scale or reflected term), runs every suite through
 ``verify.run`` on the demo material and its R3 = 0 copy at omega = 1e3 and
 1e6 rad/s (seed 1), and pins each suite's verdict: FAIL if any of its records
 failed, else pass. The rows are the standing record of what each suite can
@@ -12,7 +14,12 @@ reads 1.4e-6, a 1e-9 error in Y_nu 1.4e-9). The decoupling suite's closed
 forms call the same ``specfun``, so it cannot see Y_nu. No suite sees
 v*_21 != v*_12; tests/test_kernels.py::test_symmetry_random_materials and
 tests/test_csv_writer.py::test_point_source_csv_repeats_symmetric_kernel_columns
-catch it.
+catch it. Of the free-field rows, ``pde-residual`` sees k at 1e-6 and zeta at 1e-3
+(not at 1e-6), ``boundary-scan`` the reflected term's sign, and no suite the stress
+scale, even at 1e-2: ``pde-residual`` checks the displacement alone, and
+``boundary-scan`` divides the free-field traction by an incident traction from the
+same code, so a common scale cancels. tests/test_freefield.py::TestStressAndTraction
+and tests/test_accuracy.py::test_freefield_stress_and_traction catch it at 1e-6.
 """
 
 import dataclasses
@@ -21,6 +28,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qcwaves.freefield as freefield
 import qcwaves.halfplane as halfplane
 import qcwaves.kernels as kernels
 import qcwaves.specfun as specfun
@@ -68,6 +76,27 @@ def image_sign_flipped(monkeypatch):
              tuple(-e for e in entries) if xi[1] > 0.0 else entries)(monkeypatch)
 
 
+def wave_k_times(factor):
+    return wrap(freefield, "wave_parameters", lambda wp, *args: dataclasses.replace(
+        wp, k1=wp.k1 * factor, k2=wp.k2 * factor))
+
+
+def zeta_rotated(delta):
+    c, s = np.cos(delta), np.sin(delta)
+    return wrap(freefield, "mode_vector", lambda z, *args: np.array(
+        [c * z[0] - s * z[1], s * z[0] + c * z[1]]))
+
+
+def stress_times(factor):
+    return wrap(freefield, "_stress_parts", lambda parts, *args: (
+        parts[0] * factor, parts[1] * factor, parts[2]))
+
+
+# _plane_wave's phases hold the incident exponential, then (half-plane) the reflected one
+reflection_sign_flipped = wrap(freefield, "_plane_wave", lambda parts, *args: (
+    *parts[:4], parts[4] * np.array([1.0, -1.0])[:len(parts[4]), None, None], parts[5]))
+
+
 def v21_off(monkeypatch):
     monkeypatch.setattr(kernels, "_symmetric", lambda v11, v12, v22: np.array(
         [[v11, v12], [v12 * (1.0 + 1e-6), v22]], dtype=complex))
@@ -94,6 +123,14 @@ MATRIX = {
     "Y_nu x (1 - 1e-9) in specfun": (y_times(1.0 - 1e-9), "pass FAIL pass pass"),
     "image term sign-flipped": (image_sign_flipped, "pass pass FAIL FAIL"),
     "v21 = v12 (1 + 1e-6)": (v21_off, "pass pass pass pass"),
+    "free-field k x (1 + 1e-6)": (wave_k_times(1.0 + 1e-6), "FAIL pass pass pass"),
+    "free-field k x (1 + 1e-3)": (wave_k_times(1.0 + 1e-3), "FAIL pass pass pass"),
+    "free-field zeta rotated by 1e-6": (zeta_rotated(1e-6), "pass pass pass pass"),
+    "free-field zeta rotated by 1e-3": (zeta_rotated(1e-3), "FAIL pass pass pass"),
+    "free-field stress x (1 + 1e-6)": (stress_times(1.0 + 1e-6), "pass pass pass pass"),
+    "free-field stress x (1 - 1e-6)": (stress_times(1.0 - 1e-6), "pass pass pass pass"),
+    "free-field stress x (1 + 1e-2)": (stress_times(1.0 + 1e-2), "pass pass pass pass"),
+    "free-field reflected term sign-flipped": (reflection_sign_flipped, "pass pass pass FAIL"),
 }
 
 

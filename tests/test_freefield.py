@@ -290,22 +290,34 @@ class TestArrayPoints:
             extra = (large - small) * scenario._BLOCK_ROWS
             assert (peak(kind, large) - peak(kind, small)) / extra <= 48.0, kind
 
+    CALLS = {
+        "incident": lambda x: fullplane_incident(M, WAVE1, OMEGA, x),
+        "freefield": lambda x: halfplane_freefield(M, WAVE1, OMEGA, x),
+        "stress": lambda x: freefield_stress(M, WAVE1, OMEGA, x)[0],
+        "stress-half": lambda x: freefield_stress(M, WAVE1, OMEGA, x, half_plane=True)[0],
+        "traction": lambda x: freefield_traction(M, WAVE1, OMEGA, x, (0.0, 1.0)),
+        "traction-half": lambda x: freefield_traction(M, WAVE1, OMEGA, x, (0.0, 1.0),
+                                                      half_plane=True),
+    }
+
     @pytest.mark.parametrize("shape", [(2, 3), (1, 2, 2), (3,), (1, 3), (0, 2)], ids=str)
-    @pytest.mark.parametrize("call", [
-        lambda x: fullplane_incident(M, WAVE1, OMEGA, x),
-        lambda x: halfplane_freefield(M, WAVE1, OMEGA, x),
-        lambda x: freefield_stress(M, WAVE1, OMEGA, x)[0],
-        lambda x: freefield_stress(M, WAVE1, OMEGA, x, half_plane=True)[0],
-        lambda x: freefield_traction(M, WAVE1, OMEGA, x, (0.0, 1.0)),
-        lambda x: freefield_traction(M, WAVE1, OMEGA, x, (0.0, 1.0), half_plane=True),
-    ], ids=["incident", "freefield", "stress", "stress-half", "traction", "traction-half"])
+    @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS)
     def test_point_shape(self, call, shape):
-        # one point (2,) or N points (N, 2), N = 0 included; no other shape is reshaped
+        # N points (N, 2), N = 0 included; anything else is one point, which must be a pair
         x = -np.ones(shape)  # inside the half-plane
         if shape == (0, 2):
             assert call(x).shape == (0, 2)
             return
-        message = f"points must have shape (2,) or (N, 2); got {shape}"
+        message = f"field point x must be a pair of numbers; got {x!r}"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            call(x)
+
+    @pytest.mark.parametrize("x", [[[1e-3, -1e-3], [2e-3]], [[-1.0, "b"]], ("a", "b"), "ab"],
+                             ids=repr)
+    @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS)
+    def test_ragged_and_text_points(self, call, x):
+        # numpy's own ValueError for these is read as one point that is not a pair
+        message = f"field point x must be a pair of numbers; got {x!r}"
         with pytest.raises(ValidationError, match=re.escape(message)):
             call(x)
 

@@ -26,7 +26,7 @@ from qcwaves import (
     wave_parameters,
 )
 
-from test_material import random_material
+from test_material import random_material, rotation
 
 M = QcMaterial(c44=4.0, R3=1.2, K2=2.5, rho=2.0)
 OMEGA = 3.0
@@ -109,11 +109,26 @@ def test_points_and_normals_must_be_pairs(f, shape):
     args = {"x": (0.5, -2.0), "xi": (0.0, -1.0)}
     if f in (fundamental_traction, green_traction):
         args["n"] = (0.0, 1.0)
-    # halfplane.check_field_point already names a wrong-shaped field point of a green_*
-    for name in [a for a in args if not (a == "x" and f.__name__.startswith("green"))]:
+    for name in args:
         wrong = {**args, name: WRONG_SHAPES[shape](args[name])}
         with pytest.raises(ValidationError, match=rf"\b{name} must be a pair of numbers"):
             f(M, wrong["x"], wrong["xi"], OMEGA, *([wrong["n"]] if "n" in wrong else []))
+
+
+@pytest.mark.parametrize("x", [(1.0, -2.0, 7.0), (1.0,), np.ones((2, 3)), [[1.0, -2.0], [3.0]],
+                               ("a", "b"), 5.0], ids=repr)
+def test_a_wrong_field_point_reads_the_same_in_both_families(x):
+    # the full-plane kernels and the half-plane Green's functions share one pair rule
+    messages = set()
+    for f in (fundamental_displacement, green_displacement):
+        with pytest.raises(ValidationError) as info:
+            f(M, x, (0.0, -1.0), OMEGA)
+        messages.add(str(info.value))
+    for f in (fundamental_traction, green_traction):
+        with pytest.raises(ValidationError) as info:
+            f(M, x, (0.0, -1.0), OMEGA, (0.0, 1.0))
+        messages.add(str(info.value))
+    assert messages == {f"field point x must be a pair of numbers; got {x!r}"}
 
 
 class TestGradient:
@@ -251,7 +266,7 @@ class TestScalarAlgebra:
         for m, omega, x, xi, _ in algebra_cases():
             d = decompose(m)
             wp = wave_parameters(d, m.rho, omega)
-            q = d.rotation()
+            q = rotation(d)
             r = math.dist(x, xi)
             f = [macdonald_k0_neg_i(k * r) / (2.0 * math.pi * a)
                  for k, a in ((wp.k1, d.a1), (wp.k2, d.a2))]
@@ -300,7 +315,7 @@ def test_radiation_decay():
     # mode only reaches k1*r ~ 6 at the low end, hence 2.5e-3)
     d = decompose(M)
     wp = wave_parameters(d, M.rho, OMEGA)
-    q = d.rotation()
+    q = rotation(d)
     radii = np.logspace(math.log10(10.0 / wp.k2), math.log10(100.0 / wp.k2), 400)
     scaled = np.empty((4, radii.size))
     raw = np.empty((4, radii.size))

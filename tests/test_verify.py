@@ -2,7 +2,9 @@
 
 import json
 import math
+import re
 import runpy
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +36,7 @@ from qcwaves import (
     wave_parameters,
 )
 from qcwaves.scenario import load_material
+from strategies import accepted_materials_and_omegas
 
 ROOT = Path(__file__).resolve().parents[1]
 M = QcMaterial(c44=4.0, R3=1.2, K2=2.5, rho=2.0)
@@ -144,6 +147,34 @@ class TestDiracFlux:
         assert record["deviation"] < qcwaves.verify.DIRAC_FLUX_TOLERANCE / 10.0
 
 
+class TestBand:
+    """verify.run over the whole domain that validate and wave_table accept."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(accepted_materials_and_omegas())
+    def test_records_or_a_validation_error(self, case):
+        m, omega = case
+        try:
+            with warnings.catch_warnings():  # every warning is an error, here alone
+                warnings.simplefilter("error")
+                records = list(qcwaves.verify.run(m, [omega]))
+        except ValidationError:  # only the band's low end; the material and omega are accepted
+            assert wave_parameters(decompose(m), m.rho, omega).k1 < 1e-300
+            return
+        assert [r["name"] for r in records] == list(qcwaves.verify.SUITES)
+
+    @pytest.mark.parametrize("r3", [None, 0.0], ids=["demo", "demo-r3-zero"])
+    def test_demo_passes_every_suite_across_the_band(self, r3):
+        demo = load_material(ROOT / "demos" / "material.json")
+        m = demo if r3 is None else QcMaterial(c44=demo.c44, R3=r3, K2=demo.K2, rho=demo.rho)
+        d = decompose(m)
+        # from k1 = 1e-300 to a free-field stress scale omega sqrt(rho a1) of 1e307
+        low, high = 1.001e-300 * math.sqrt(d.a1 / m.rho), 1e307 / math.sqrt(m.rho * d.a1)
+        omegas = np.geomspace(low, high, 12).tolist()
+        records = list(qcwaves.verify.run(m, omegas))
+        assert {r["status"] for r in records} == ({"pass", "skipped"} if r3 is None else {"pass"})
+
+
 class TestDecoupling:
     def test_passes_at_r3_zero(self):
         lam = slow_wavelength(M_DECOUPLED, OMEGA)
@@ -187,6 +218,21 @@ class TestBoundaryScan:
         wave = IncidentWave(mode="S1", amplitude=1.0, phi=0.6)
         value = boundary_traction_scan(M, OMEGA, wave, include_reflection=False)
         assert value > 0.5
+
+
+@pytest.mark.parametrize("check, name", [
+    (lambda v: pde_residual(lambda p: fundamental_displacement(M, p, (0.0, 0.0), OMEGA)[:, 0],
+                            M, OMEGA, v), "stencil centre at"),
+    (lambda v: dirac_flux(M, v, OMEGA, 1e-3 / wave_parameters(decompose(M), M.rho, OMEGA).k2),
+     "source xi"),
+    (lambda v: decoupling_check(M_DECOUPLED, OMEGA, [(0.5, -0.5), v]), "points[1]"),
+    (lambda v: boundary_traction_scan(M, OMEGA, v), "source_or_wave"),
+], ids=["pde_residual", "dirac_flux", "decoupling_check", "boundary_traction_scan"])
+def test_checks_read_points_and_sources_as_pairs(check, name):
+    # a third coordinate is named, not dropped (nor a bare ValueError of math.dist)
+    message = f"{name} must be a pair of numbers; got (0.5, -0.5, 9.0)"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        check((0.5, -0.5, 9.0))
 
 
 def test_reports_serialize_to_plain_dicts():
@@ -317,6 +363,8 @@ class TestRun:
             (M, [math.nan], ["pde-residual"], NonPositiveFrequency, "omega > 0"),
             (M, [1.0, 1.0], ["pde-residual"], ValidationError, "omega 1.0 is repeated"),
             (M, [OMEGA, 1.75e308], ["pde-residual"], DomainError, "leave the float range"),
+            (M, [OMEGA, 1e-301], ["pde-residual"], ValidationError,
+             r"--omega 1e-301 is below the verify band: k1 = 6\.\d+e-302 must be at least 1e-300"),
             (M, [OMEGA], [], ValidationError, "empty suite list"),
         ]
         for m, omegas, suites, error, message in cases:
