@@ -2,7 +2,8 @@
 
 Runs every ``qcwaves verify`` suite through ``verify.run`` on the demo
 material and on its R3 = 0 copy (where the decoupling suite runs instead of
-being skipped), and prints each measured value next to its tolerance.
+being skipped), and prints each measured value next to its tolerance, under the
+record's margin (its largest value / tolerance; the record passes below 1).
 
     python demos/verification_tour.py
 """
@@ -20,10 +21,10 @@ def main():
         print(f"R3 = {material.R3:g} Pa at omega = {omega:.6g} rad/s "
               f"(seed {verify.DEFAULT_SEED}):")
         for record in verify.run(material, [omega]):
-            print(f"  [{record['status']:>7}] {record['name']}")
             if record["status"] == "skipped":
-                print(f"            {record['note']}")
+                print(f"  [skipped] {record['name']}\n            {record['note']}")
                 continue
+            print(f"  [{record['status']:>7}] {record['name']}  (margin {record['margin']:.3g})")
             for value, tolerance, _ in verify.LIMITS[record["name"]]:
                 print(f"            {value} {record[value]:.2e}"
                       f"  (tolerance {record[tolerance]:g})")

@@ -60,7 +60,6 @@ from .verify import (
     DEFAULT_SEED,
     boundary_traction_scan,
     decoupling_check,
-    default_step,
     dirac_flux,
     pde_residual,
 )

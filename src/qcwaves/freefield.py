@@ -41,7 +41,7 @@ import numpy as np
 
 # Checks are called through their modules, as in scenario.py.
 from . import halfplane, kernels
-from .errors import DomainError
+from .errors import DomainError, ValidationError
 from .material import QcMaterial, decompose, wave_parameters
 
 __all__ = [
@@ -72,19 +72,19 @@ class IncidentWave:
 
     def __post_init__(self):
         if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}; got {self.mode!r}")
+            raise ValidationError(f"mode must be one of {MODES}; got {self.mode!r}")
         if not (0.0 < self.phi < 0.5 * math.pi):
-            raise ValueError(
+            raise ValidationError(
                 f"incidence angle must lie strictly inside (0, pi/2); got {self.phi}"
             )
         if not cmath.isfinite(self.amplitude):
-            raise ValueError(f"amplitude must be finite; got {self.amplitude}")
+            raise ValidationError(f"amplitude must be finite; got {self.amplitude}")
 
 
 def mode_vector(m: QcMaterial, mode: str) -> np.ndarray:
     """Unit polarization vector of a mode: Q column 1 for S1, column 2 for S2."""
     if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}; got {mode!r}")
+        raise ValidationError(f"mode must be one of {MODES}; got {mode!r}")
     d = decompose(m)
     if mode == "S1":
         return np.array([d.cos_psi, d.sin_psi])

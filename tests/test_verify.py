@@ -20,6 +20,7 @@ from qcwaves import (
     IncidentWave,
     NonPositiveFrequency,
     PointOutsideHalfPlane,
+    QcError,
     QcMaterial,
     RadiusTooLarge,
     SourceOnBoundary,
@@ -32,6 +33,7 @@ from qcwaves import (
     dirac_flux,
     fullplane_incident,
     fundamental_displacement,
+    mode_vector,
     pde_residual,
     wave_parameters,
 )
@@ -47,6 +49,9 @@ OMEGA = 3.0
 def slow_wavelength(m, omega):
     wp = wave_parameters(decompose(m), m.rho, omega)
     return 2.0 * math.pi / wp.k2
+
+
+H = slow_wavelength(M, OMEGA) / qcwaves.verify.STEP_DIVISOR  # a kernel step on M at OMEGA
 
 
 class TestPdeResidual:
@@ -71,8 +76,8 @@ class TestPdeResidual:
 
     def test_zero_field_flags_degenerate_reference(self):
         # a zero field at the point: 0 if the residual is zero too, else inf
-        assert pde_residual(lambda p: (0.0, 0.0), M, OMEGA, (1.0, 1.0)) == 0.0
-        vanishing = pde_residual(lambda p: ((p[0] - 1.0) ** 2, 0.0), M, OMEGA, (1.0, 1.0))
+        assert pde_residual(lambda p: (0.0, 0.0), M, OMEGA, (1.0, 1.0), H) == 0.0
+        vanishing = pde_residual(lambda p: ((p[0] - 1.0) ** 2, 0.0), M, OMEGA, (1.0, 1.0), H)
         assert vanishing == math.inf
 
     def test_stencil_failure_is_reported(self):
@@ -82,18 +87,55 @@ class TestPdeResidual:
             return (1.0, 1.0)
 
         with pytest.raises(StencilOutOfDomain):
-            pde_residual(field, M, OMEGA, (0.0, 0.0))
+            pde_residual(field, M, OMEGA, (0.0, 0.0), H)
 
     @pytest.mark.parametrize("h", [0.0, -1e-3, math.inf, math.nan])
     def test_step_must_be_finite_and_positive(self, h):
         with pytest.raises(ValueError, match=r"need finite h > 0"):
             pde_residual(lambda p: (1.0, 1.0), M, OMEGA, (0.0, 0.0), h=h)
 
-    def test_default_step_scales_with_wavelength(self):
-        h1 = qcwaves.verify.default_step(M, OMEGA)
-        h2 = qcwaves.verify.default_step(M, 10.0 * OMEGA)
-        assert h1 == pytest.approx(10.0 * h2, rel=1e-12)
-        assert qcwaves.verify.default_step(M, OMEGA, r=h1) == h1 / 400.0
+
+class TestPdeResidualSuite:
+    """The pde-residual suite sizes each stencil by the modes its field carries."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(accepted_materials_and_omegas(zero_coupling=True, log_c44=(-100.0, 100.0),
+                                         log_rho=(-100.0, 100.0), log_k2=(-100.0, 100.0)))
+    def test_passes_at_r3_zero_up_to_a_contrast_of_1e10(self, case):
+        m, omega = case
+        record = qcwaves.verify.SUITES["pde-residual"](m, omega, np.random.default_rng(0))
+        assert record["status"] == "pass", record
+
+    @pytest.mark.parametrize("contrast", [1e5, 1e8, 1e-8])
+    def test_passes_at_high_contrast(self, contrast):
+        m = QcMaterial(c44=1.0, R3=0.0, K2=contrast, rho=1.0)
+        [record] = qcwaves.verify.run(m, [1.0], ["pde-residual"])
+        assert record["status"] == "pass", record
+
+    def test_coupling_near_one_still_fails(self):
+        # a gap that stays: C zeta2 = a2 zeta2 cancels C * lap down to a2 of a1, which
+        # amplifies the stencil's round-off by about a1 / a2 = 2e6 (18 of 20 layouts fail)
+        m = QcMaterial(c44=1.0, R3=1.0 - 1e-6, K2=1.0, rho=1.0)
+        record = qcwaves.verify.SUITES["pde-residual"](m, 1.0, np.random.default_rng(0))
+        assert record["status"] == "fail"
+        assert record["max_wave_residual"] > 10.0 * qcwaves.verify.PDE_WAVE_TOLERANCE
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: IncidentWave(mode="P", amplitude=1.0, phi=0.5), "mode must be one of"),
+    (lambda: IncidentWave(mode="S1", amplitude=1.0, phi=0.0), "incidence angle must lie"),
+    (lambda: IncidentWave(mode="S1", amplitude=math.inf, phi=0.5), "amplitude must be finite"),
+    (lambda: mode_vector(M, "P"), "mode must be one of"),
+    (lambda: pde_residual(lambda p: (1.0, 1.0), M, OMEGA, (0.0, 0.0), 0.0), "need finite h"),
+    (lambda: decoupling_check(M, OMEGA, [(0.5, -0.5)]), "requires R3 = 0"),
+    (lambda: decoupling_check(M_DECOUPLED, OMEGA, []), "need at least one point"),
+], ids=["wave-mode", "wave-phi", "wave-amplitude", "mode_vector", "pde_residual-h",
+        "decoupling-r3", "decoupling-points"])
+def test_invalid_arguments_are_validation_errors(call, message):
+    # the family errors.py promises: except QcError catches every invalid argument
+    with pytest.raises(QcError, match=message) as info:
+        call()
+    assert isinstance(info.value, ValidationError)
 
 
 def deviation(flux):
@@ -222,7 +264,7 @@ class TestBoundaryScan:
 
 @pytest.mark.parametrize("check, name", [
     (lambda v: pde_residual(lambda p: fundamental_displacement(M, p, (0.0, 0.0), OMEGA)[:, 0],
-                            M, OMEGA, v), "stencil centre at"),
+                            M, OMEGA, v, H), "stencil centre at"),
     (lambda v: dirac_flux(M, v, OMEGA, 1e-3 / wave_parameters(decompose(M), M.rho, OMEGA).k2),
      "source xi"),
     (lambda v: decoupling_check(M_DECOUPLED, OMEGA, [(0.5, -0.5), v]), "points[1]"),
@@ -242,7 +284,7 @@ def test_reports_serialize_to_plain_dicts():
     assert flux.shape == (2, 2) and flux.dtype == complex
     residual = pde_residual(
         lambda p: fundamental_displacement(M, p, (0.0, 0.0), OMEGA)[:, 0],
-        M, OMEGA, (1.0, 0.5),
+        M, OMEGA, (1.0, 0.5), H,
     )
     assert type(residual) is float
     assert type(decoupling_check(M_DECOUPLED, OMEGA, [(0.5, -0.5)])) is float
@@ -254,11 +296,11 @@ def test_reports_serialize_to_plain_dicts():
 # the report format, which benchmarks/oracle.py and demos/verification_tour.py read.
 RECORD_KEYS = {
     "pde-residual": {"max_kernel_residual", "kernel_tolerance",
-                     "max_wave_residual", "wave_tolerance"},
-    "dirac-flux": {"deviation", "tolerance"},
-    "decoupling": {"max_relative_error", "n_points", "tolerance"},
+                     "max_wave_residual", "wave_tolerance", "margin"},
+    "dirac-flux": {"deviation", "tolerance", "margin"},
+    "decoupling": {"max_relative_error", "n_points", "tolerance", "margin"},
     "boundary-scan": {"max_green_traction", "green_tolerance",
-                      "max_freefield_traction", "freefield_tolerance"},
+                      "max_freefield_traction", "freefield_tolerance", "margin"},
 }
 
 
@@ -299,7 +341,7 @@ class TestPassRule:
     @pytest.mark.parametrize("suite", sorted(qcwaves.verify.LIMITS))
     def test_values_below_their_tolerances_pass(self, suite):
         record = self.record(suite)
-        assert record["status"] == "pass"
+        assert record["status"] == "pass" and record["margin"] == 0.5
         for value, key, tolerance in qcwaves.verify.LIMITS[suite]:
             assert record[key] == tolerance and record[value] == 0.5 * tolerance
 
@@ -307,12 +349,14 @@ class TestPassRule:
     def test_a_value_equal_to_its_tolerance_fails(self, suite):
         assert self.record(suite, scale=1.0)["status"] == "fail"
         for value, _, tolerance in qcwaves.verify.LIMITS[suite]:
-            assert self.record(suite, **{value: tolerance})["status"] == "fail", value
+            record = self.record(suite, **{value: tolerance})
+            assert (record["status"], record["margin"]) == ("fail", 1.0), value
 
     @pytest.mark.parametrize("suite", sorted(qcwaves.verify.LIMITS))
     def test_a_nan_value_fails(self, suite):
         for value, _, _ in qcwaves.verify.LIMITS[suite]:
-            assert self.record(suite, **{value: math.nan})["status"] == "fail", value
+            record = self.record(suite, **{value: math.nan})
+            assert record["status"] == "fail" and math.isnan(record["margin"]), value
 
 class TestNanResult:
     """A NaN result must fail its check: the builtin max(0.0, nan) is 0.0."""
@@ -335,7 +379,7 @@ class TestNanResult:
     def test_checks_report_nan(self, nan_kernels):
         assert math.isnan(pde_residual(
             lambda p: qcwaves.verify.fundamental_displacement(M, p, (0.0, 0.0), OMEGA)[:, 0],
-            M, OMEGA, (1.0, 0.5)))
+            M, OMEGA, (1.0, 0.5), H))
         assert math.isnan(decoupling_check(M_DECOUPLED, OMEGA, [(0.5, -0.5)]))
         assert math.isnan(boundary_traction_scan(M, OMEGA, (0.2, -0.9)))
 

@@ -16,9 +16,13 @@ with its ``src/`` on PYTHONPATH, on inputs written to a temporary directory:
 * ``verify`` on the demo material at 1e4 and 1e6 rad/s;
 * ``verify`` on an R3 = 0 copy of the demo material at the same frequencies,
   where the decoupling suite runs instead of being skipped;
+* ``verify`` on an R3 = 0 material of contrast K2/c44 = 1e-8 (c44 = 4.2e10,
+  K2 = 420, rho = 4186) at the same frequencies, which shows ``pde-residual``
+  at high contrast;
 * ``decompose`` on the demo material at 1, 6.283e6 and 1e9 rad/s, whose
   stdout is kept as ``decompose.txt``;
-* ``demos/verification_tour.py``, whose stdout is kept as ``tour.txt``.
+* each tree's own ``demos/verification_tour.py`` (beside its ``src/``), whose
+  stdout is kept as ``tour.txt``.
 
 For every output file (CSV, sidecar, report, ``decompose.txt``, ``tour.txt``) it prints
 whether the bytes are identical. For every CSV it also prints the largest
@@ -71,7 +75,9 @@ SCENARIOS = {
 }
 SAMPLES = ("fundamental", *SCENARIOS)  # fundamental: demos/scenario_fundamental.json
 VERIFY_OMEGAS = "1e4,1e6"
-VERIFY_REPORTS = {"verify.json": "material.json", "verify-r3zero.json": "material_r3zero.json"}
+VERIFY_REPORTS = {"verify.json": "material.json", "verify-r3zero.json": "material_r3zero.json",
+                  "verify-contrast.json": "material_contrast.json"}
+CONTRAST_MATERIAL = {"schema_version": 1, "c44": 4.2e10, "R3": 0.0, "K2": 420.0, "rho": 4186.0}
 DECOMPOSE_OMEGAS = "1,6.283e6,1e9"
 _MISSING = object()  # a key only one JSON document has
 ULP_FLOOR = 1e-3  # csv_distance counts ulps on entries >= this fraction of the column max
@@ -81,6 +87,7 @@ def write_inputs(where: Path) -> None:
     shutil.copy(DEMOS / "material.json", where / "material.json")
     decoupled = {**json.loads((DEMOS / "material.json").read_text(encoding="utf-8")), "R3": 0.0}
     (where / "material_r3zero.json").write_text(json.dumps(decoupled), encoding="utf-8")
+    (where / "material_contrast.json").write_text(json.dumps(CONTRAST_MATERIAL), encoding="utf-8")
     shutil.copy(DEMOS / "scenario_fundamental.json", where / "fundamental.json")
     for name, doc in SCENARIOS.items():
         (where / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
@@ -103,8 +110,8 @@ def run_tree(src: Path, inputs: Path, out: Path) -> list[str]:
         subprocess.run([sys.executable, "-m", "qcwaves.cli", "decompose", "--material", material,
                         "--omega", DECOMPOSE_OMEGAS], env=env, check=False, stdout=fh)
     with open(out / "tour.txt", "wb") as fh:
-        subprocess.run([sys.executable, str(DEMOS / "verification_tour.py")], env=env,
-                       check=False, stdout=fh)
+        subprocess.run([sys.executable, str(src.parent / "demos" / "verification_tour.py")],
+                       env=env, check=False, stdout=fh)
     return ([f"{name}.csv" for name in SAMPLES] + [f"{name}.csv.meta.json" for name in SAMPLES]
             + list(VERIFY_REPORTS) + ["decompose.txt", "tour.txt"])
 
