@@ -58,10 +58,9 @@ from .specfun import (
 )
 from .verify import (
     DEFAULT_SEED,
-    boundary_traction_scan,
-    decoupling_check,
     dirac_flux,
     pde_residual,
+    representation_residual,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -254,19 +254,19 @@ class TestVerify:
         assert report["all_passed"] is True
         assert report["omega"] == [1.0, 10.0]
         assert {c["name"] for c in report["checks"]} == set(cli.SUITES)
-        skipped = [c for c in report["checks"] if c["status"] == "skipped"]
-        assert {c["name"] for c in skipped} == {"decoupling"}  # R3 != 0
+        assert {c["status"] for c in report["checks"]} == {"pass"}
 
-    def test_decoupling_suite_runs_at_r3_zero(self, tmp_path):
+    def test_representation_identity_runs_at_r3_zero(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"schema_version": 1, "c44": 2.0, "R3": 0.0,
                                     "K2": 1.0, "rho": 1.0}))
         report_path = str(tmp_path / "report.json")
-        code = cli.main(["verify", "--material", str(path), "--suite", "decoupling",
+        code = cli.main(["verify", "--material", str(path), "--suite", "dirac-flux",
                          "--report", report_path])
         assert code == 0
-        report = json.load(open(report_path))
-        assert report["checks"][0]["status"] == "pass"
+        [check] = json.load(open(report_path))["checks"]
+        assert check["status"] == "pass"
+        assert check["representation_residual"] < check["representation_tolerance"]
 
     def test_broken_material_is_validation_error(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -311,7 +311,7 @@ class TestVerify:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("omega, suites", [
         ("1e-310", ",".join(verify.SUITES)),  # the slow wavelength overflows: h = inf
-        ("1e-313", "dirac-flux,decoupling,boundary-scan"),  # rng.uniform's range overflows
+        ("1e-313", "dirac-flux"),  # the representation contours' radius overflows
     ])
     def test_omega_below_the_band_is_one_error_line(self, material_file, capsys, omega, suites):
         assert cli.main(["verify", "--material", material_file, "--omega", f"1.0,{omega}",
@@ -341,7 +341,7 @@ class TestVerify:
     def test_repeated_suite_is_rejected(self, material_file, tmp_path, capsys):
         report = tmp_path / "report.json"
         assert cli.main(["verify", "--material", material_file, "--suite",
-                         "pde-residual,decoupling,pde-residual", "--report", str(report)]) == 2
+                         "pde-residual,dirac-flux,pde-residual", "--report", str(report)]) == 2
         assert capsys.readouterr() == ("", "error: suite 'pde-residual' is repeated\n")
         assert not report.exists()
 
@@ -819,7 +819,7 @@ class TestInputBoundary:
 
     def test_unwritable_verify_report_is_validation_error(self, tmp_path, material_file, capsys):
         report = tmp_path / "missing" / "report.json"
-        assert cli.main(["verify", "--material", material_file, "--suite", "decoupling",
+        assert cli.main(["verify", "--material", material_file, "--suite", "dirac-flux",
                          "--report", str(report)]) == 2
         assert f"error: cannot write {report}: " in capsys.readouterr().err
 
@@ -855,7 +855,7 @@ class TestInputBoundary:
         report = reports.get(where, tmp_path / "loop.json")
         if where == "symlink-loop":
             report.symlink_to(report.name)
-        assert cli.main(["verify", "--material", material_file, "--suite", "decoupling",
+        assert cli.main(["verify", "--material", material_file, "--suite", "dirac-flux",
                          "--report", str(report)]) == 2
         out, err = capsys.readouterr()
         assert out == ""  # not one suite ran

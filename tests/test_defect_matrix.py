@@ -7,19 +7,20 @@ wavenumber, mode vector zeta, stress scale or reflected term), runs every suite 
 ``verify.run`` on the demo material and its R3 = 0 copy at omega = 1e3 and
 1e6 rad/s (seed 1), and pins each suite's verdict: FAIL if any of its records
 failed, else pass. The rows are the standing record of what each suite can
-detect. The scale rows (the kernel, K1, Y_nu inside ``specfun``) come in both
-signs: ``dirac-flux`` reads the flux at one radius against a tolerance of
-1.2e-10, so each of them fails it on the demo material alone (a 1e-6 error
-reads 1.4e-6, a 1e-9 error in Y_nu 1.4e-9). The decoupling suite's closed
-forms call the same ``specfun``, so it cannot see Y_nu. No suite sees
-v*_21 != v*_12; tests/test_kernels.py::test_symmetry_random_materials and
-tests/test_csv_writer.py::test_point_source_csv_repeats_symmetric_kernel_columns
-catch it. Of the free-field rows, ``pde-residual`` sees k at 1e-6 and zeta at 1e-3
-(not at 1e-6), ``boundary-scan`` the reflected term's sign, and no suite the stress
-scale, even at 1e-2: ``pde-residual`` checks the displacement alone, and
-``boundary-scan`` divides the free-field traction by an incident traction from the
-same code, so a common scale cancels. tests/test_freefield.py::TestStressAndTraction
-and tests/test_accuracy.py::test_freefield_stress_and_traction catch it at 1e-6.
+detect.
+
+``pde-residual`` checks the equations of motion by finite differences. It sees
+k2 and psi at 1e-3, the free-field k at 1e-6 and zeta at 1e-3 (not at 1e-6),
+and no scale: a common factor leaves the equations as they are.
+
+``dirac-flux`` holds two values. Its flux, read at one radius against a tolerance of
+1.2e-10, sees the kernel scale and K1 at 1e-6 and Y_nu at 1e-9, of either sign;
+it cannot see k2, psi, a2 or K0, whose effects vanish at that radius. Its
+representation identity, u(xi) as a contour integral of v* t(u) - t* u with
+plane waves u from the free-field code, sees every other row: k2, psi, a2, K0
+and the free-field stress scale at 1e-9 (reading at least 3.1e-10, 600 times
+its tolerance), v*_21 != v*_12 at 1e-6 on the coupled material, and O(1) for
+a sign-flipped image term and a sign-flipped or dropped reflected term.
 """
 
 import dataclasses
@@ -57,8 +58,16 @@ def psi_plus(delta):
     return wrap(kernels, "decompose", lambda d, m: dataclasses.replace(d, psi=d.psi + delta))
 
 
+def a2_times(factor):
+    return wrap(kernels, "decompose", lambda d, m: dataclasses.replace(d, a2=d.a2 * factor))
+
+
 def kernel_times(factor):
     return lambda monkeypatch: monkeypatch.setattr(kernels, "TWO_PI", kernels.TWO_PI / factor)
+
+
+def k0_times(factor):
+    return wrap(kernels, "macdonald_k0_neg_i", lambda k, x: k * factor)
 
 
 def k1_times(factor):
@@ -92,9 +101,10 @@ def stress_times(factor):
         parts[0] * factor, parts[1] * factor, parts[2]))
 
 
-# _plane_wave's phases hold the incident exponential, then (half-plane) the reflected one
-reflection_sign_flipped = wrap(freefield, "_plane_wave", lambda parts, *args: (
-    *parts[:4], parts[4] * np.array([1.0, -1.0])[:len(parts[4]), None, None], parts[5]))
+def reflection_times(sign):
+    # _plane_wave's phases hold the incident exponential, then (half-plane) the reflected one
+    return wrap(freefield, "_plane_wave", lambda parts, *args: (
+        *parts[:4], parts[4] * np.array([1.0, sign])[:len(parts[4]), None, None], parts[5]))
 
 
 def v21_off(monkeypatch):
@@ -102,36 +112,42 @@ def v21_off(monkeypatch):
         [[v11, v12], [v12 * (1.0 + 1e-6), v22]], dtype=complex))
 
 
-# defect -> (plant, verdicts of the suites in SUITES order:
-#            pde-residual, dirac-flux, decoupling, boundary-scan)
+# defect -> (plant, verdicts of the suites in SUITES order: pde-residual, dirac-flux)
 MATRIX = {
-    "clean": (lambda monkeypatch: None, "pass pass pass pass"),
-    "k2 x (1 + 1e-6)": (k2_times(1.0 + 1e-6), "pass pass FAIL pass"),
-    "k2 x (1 + 1e-3)": (k2_times(1.0 + 1e-3), "FAIL pass FAIL pass"),
-    "psi + 1e-6": (psi_plus(1e-6), "pass pass FAIL pass"),
-    "psi + 1e-3": (psi_plus(1e-3), "FAIL pass FAIL pass"),
-    "a2 x (1 + 1e-6)": (wrap(kernels, "decompose", lambda d, m: dataclasses.replace(
-        d, a2=d.a2 * (1.0 + 1e-6))), "pass pass FAIL pass"),
-    "kernel x (1 + 1e-6)": (kernel_times(1.0 + 1e-6), "pass FAIL FAIL pass"),
-    "kernel x (1 - 1e-6)": (kernel_times(1.0 - 1e-6), "pass FAIL FAIL pass"),
-    "kernel x (1 + 1e-2)": (kernel_times(1.0 + 1e-2), "pass FAIL FAIL pass"),
-    "K0 x (1 + 1e-6)": (wrap(kernels, "macdonald_k0_neg_i", lambda k, x: k * (1.0 + 1e-6)),
-                        "pass pass FAIL pass"),
-    "K1 x (1 + 1e-6)": (k1_times(1.0 + 1e-6), "pass FAIL pass pass"),
-    "K1 x (1 - 1e-6)": (k1_times(1.0 - 1e-6), "pass FAIL pass pass"),
-    "Y_nu x (1 + 1e-9) in specfun": (y_times(1.0 + 1e-9), "pass FAIL pass pass"),
-    "Y_nu x (1 - 1e-9) in specfun": (y_times(1.0 - 1e-9), "pass FAIL pass pass"),
-    "image term sign-flipped": (image_sign_flipped, "pass pass FAIL FAIL"),
-    "v21 = v12 (1 + 1e-6)": (v21_off, "pass pass pass pass"),
-    "free-field k x (1 + 1e-6)": (wave_k_times(1.0 + 1e-6), "FAIL pass pass pass"),
-    "free-field k x (1 + 1e-3)": (wave_k_times(1.0 + 1e-3), "FAIL pass pass pass"),
-    "free-field zeta rotated by 1e-6": (zeta_rotated(1e-6), "pass pass pass pass"),
-    "free-field zeta rotated by 1e-3": (zeta_rotated(1e-3), "FAIL pass pass pass"),
-    "free-field stress x (1 + 1e-6)": (stress_times(1.0 + 1e-6), "pass pass pass pass"),
-    "free-field stress x (1 - 1e-6)": (stress_times(1.0 - 1e-6), "pass pass pass pass"),
-    "free-field stress x (1 + 1e-2)": (stress_times(1.0 + 1e-2), "pass pass pass pass"),
-    "free-field reflected term sign-flipped": (reflection_sign_flipped, "pass pass pass FAIL"),
+    "clean": (lambda monkeypatch: None, "pass pass"),
+    "k2 x (1 + 1e-9)": (k2_times(1.0 + 1e-9), "pass FAIL"),
+    "k2 x (1 + 1e-6)": (k2_times(1.0 + 1e-6), "pass FAIL"),
+    "k2 x (1 + 1e-3)": (k2_times(1.0 + 1e-3), "FAIL FAIL"),
+    "psi + 1e-9": (psi_plus(1e-9), "pass FAIL"),
+    "psi + 1e-6": (psi_plus(1e-6), "pass FAIL"),
+    "psi + 1e-3": (psi_plus(1e-3), "FAIL FAIL"),
+    "a2 x (1 + 1e-9)": (a2_times(1.0 + 1e-9), "pass FAIL"),
+    "a2 x (1 + 1e-6)": (a2_times(1.0 + 1e-6), "pass FAIL"),
+    "kernel x (1 + 1e-6)": (kernel_times(1.0 + 1e-6), "pass FAIL"),
+    "kernel x (1 - 1e-6)": (kernel_times(1.0 - 1e-6), "pass FAIL"),
+    "kernel x (1 + 1e-2)": (kernel_times(1.0 + 1e-2), "pass FAIL"),
+    "K0 x (1 + 1e-9)": (k0_times(1.0 + 1e-9), "pass FAIL"),
+    "K0 x (1 + 1e-6)": (k0_times(1.0 + 1e-6), "pass FAIL"),
+    "K1 x (1 + 1e-6)": (k1_times(1.0 + 1e-6), "pass FAIL"),
+    "K1 x (1 - 1e-6)": (k1_times(1.0 - 1e-6), "pass FAIL"),
+    "Y_nu x (1 + 1e-9) in specfun": (y_times(1.0 + 1e-9), "pass FAIL"),
+    "Y_nu x (1 - 1e-9) in specfun": (y_times(1.0 - 1e-9), "pass FAIL"),
+    "image term sign-flipped": (image_sign_flipped, "pass FAIL"),
+    "v21 = v12 (1 + 1e-6)": (v21_off, "pass FAIL"),
+    "free-field k x (1 + 1e-6)": (wave_k_times(1.0 + 1e-6), "FAIL FAIL"),
+    "free-field k x (1 + 1e-3)": (wave_k_times(1.0 + 1e-3), "FAIL FAIL"),
+    "free-field zeta rotated by 1e-6": (zeta_rotated(1e-6), "pass FAIL"),
+    "free-field zeta rotated by 1e-3": (zeta_rotated(1e-3), "FAIL FAIL"),
+    "free-field stress x (1 + 1e-9)": (stress_times(1.0 + 1e-9), "pass FAIL"),
+    "free-field stress x (1 + 1e-6)": (stress_times(1.0 + 1e-6), "pass FAIL"),
+    "free-field stress x (1 - 1e-6)": (stress_times(1.0 - 1e-6), "pass FAIL"),
+    "free-field stress x (1 + 1e-2)": (stress_times(1.0 + 1e-2), "pass FAIL"),
+    "free-field reflected term sign-flipped": (reflection_times(-1.0), "pass FAIL"),
+    "free-field reflected term dropped": (reflection_times(0.0), "pass FAIL"),
 }
+# the rows at 1e-9 that only the representation identity sees
+IDENTITY_ROWS = ("k2 x (1 + 1e-9)", "psi + 1e-9", "a2 x (1 + 1e-9)", "K0 x (1 + 1e-9)",
+                 "free-field stress x (1 + 1e-9)")
 
 
 @pytest.mark.parametrize("defect", MATRIX)
@@ -146,19 +162,26 @@ def test_each_suite_gives_its_measured_verdict(monkeypatch, defect):
 
 
 def test_clean_tree_passes_every_suite():
-    statuses = [[(r["name"], r["status"]) for r in verify.run(m, OMEGAS, seed=1)]
-                for m in MATERIALS]
-    assert statuses[0] == [(name, "skipped" if name == "decoupling" else "pass")
-                           for name in verify.SUITES] * len(OMEGAS)
-    assert statuses[1] == [(name, "pass") for name in verify.SUITES] * len(OMEGAS)
+    for m in MATERIALS:
+        assert [(r["name"], r["status"]) for r in verify.run(m, OMEGAS, seed=1)] == \
+            [(name, "pass") for name in verify.SUITES] * len(OMEGAS)
 
 
-@pytest.mark.parametrize("defect", [name for name in MATRIX if "1e-9" in name])
+@pytest.mark.parametrize("defect", [name for name in MATRIX if name.startswith("Y_nu")])
 def test_dirac_flux_sees_a_1e_9_defect_tenfold_above_its_tolerance(monkeypatch, defect):
     MATRIX[defect][0](monkeypatch)
     for m in MATERIALS:
         for record in verify.run(m, OMEGAS, suites=["dirac-flux"], seed=1):
             assert record["deviation"] > 10.0 * verify.DIRAC_FLUX_TOLERANCE
+
+
+@pytest.mark.parametrize("defect", IDENTITY_ROWS)
+def test_representation_sees_a_1e_9_defect_fourfold_above_its_tolerance(monkeypatch, defect):
+    MATRIX[defect][0](monkeypatch)
+    for m in MATERIALS:
+        for record in verify.run(m, OMEGAS, suites=["dirac-flux"], seed=1):
+            assert record["representation_residual"] >= 4.0 * verify.REPRESENTATION_TOLERANCE
+            assert record["deviation"] < verify.DIRAC_FLUX_TOLERANCE  # the flux is blind
 
 
 def test_every_suite_fails_on_some_defect():

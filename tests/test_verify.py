@@ -1,4 +1,4 @@
-"""The verification harness itself: residuals, flux, decoupling, boundary scans."""
+"""The verification harness itself: residuals, flux, the representation identity."""
 
 import json
 import math
@@ -19,22 +19,18 @@ from qcwaves import (
     DomainError,
     IncidentWave,
     NonPositiveFrequency,
-    PointOutsideHalfPlane,
     QcError,
     QcMaterial,
     RadiusTooLarge,
-    SourceOnBoundary,
-    SourceOutsideHalfPlane,
     StencilOutOfDomain,
     ValidationError,
-    boundary_traction_scan,
     decompose,
-    decoupling_check,
     dirac_flux,
     fullplane_incident,
     fundamental_displacement,
     mode_vector,
     pde_residual,
+    representation_residual,
     wave_parameters,
 )
 from qcwaves.scenario import load_material
@@ -127,10 +123,7 @@ class TestPdeResidualSuite:
     (lambda: IncidentWave(mode="S1", amplitude=math.inf, phi=0.5), "amplitude must be finite"),
     (lambda: mode_vector(M, "P"), "mode must be one of"),
     (lambda: pde_residual(lambda p: (1.0, 1.0), M, OMEGA, (0.0, 0.0), 0.0), "need finite h"),
-    (lambda: decoupling_check(M, OMEGA, [(0.5, -0.5)]), "requires R3 = 0"),
-    (lambda: decoupling_check(M_DECOUPLED, OMEGA, []), "need at least one point"),
-], ids=["wave-mode", "wave-phi", "wave-amplitude", "mode_vector", "pde_residual-h",
-        "decoupling-r3", "decoupling-points"])
+], ids=["wave-mode", "wave-phi", "wave-amplitude", "mode_vector", "pde_residual-h"])
 def test_invalid_arguments_are_validation_errors(call, message):
     # the family errors.py promises: except QcError catches every invalid argument
     with pytest.raises(QcError, match=message) as info:
@@ -214,52 +207,50 @@ class TestBand:
         low, high = 1.001e-300 * math.sqrt(d.a1 / m.rho), 1e307 / math.sqrt(m.rho * d.a1)
         omegas = np.geomspace(low, high, 12).tolist()
         records = list(qcwaves.verify.run(m, omegas))
-        assert {r["status"] for r in records} == ({"pass", "skipped"} if r3 is None else {"pass"})
+        assert {r["status"] for r in records} == {"pass"}
 
 
-class TestDecoupling:
-    def test_passes_at_r3_zero(self):
-        lam = slow_wavelength(M_DECOUPLED, OMEGA)
-        rng = np.random.default_rng(61)
-        points = [(rng.uniform(-2, 2) * lam, rng.uniform(-2.0, -0.05) * lam)
-                  for _ in range(20)]
-        points.append((0.7 * lam, 0.0))  # boundary point: r = r~ branch
-        assert decoupling_check(M_DECOUPLED, OMEGA, points, xi=(0.0, -lam)) < 1e-12
+class TestRepresentation:
+    """representation_residual: the identity BEM discretizes, for v* and for g*."""
 
-    def test_requires_r3_zero(self):
-        with pytest.raises(ValueError):
-            decoupling_check(M, OMEGA, [(1.0, -1.0)])
+    @settings(max_examples=150, deadline=None)
+    @given(accepted_materials_and_omegas())
+    def test_clean_identity_passes_over_the_band(self, case):
+        # g*'s first whole-domain accuracy test. Above k2 = 9.6e307, 2 k2 sin(phi), a product
+        # freefield_stress forms before the amplitude, can overflow (pinned below)
+        m, omega = case
+        wp = wave_parameters(decompose(m), m.rho, omega)
+        assume(wp.k1 >= 1e-300 and math.isfinite(2.0 * wp.k2 * math.sin(qcwaves.verify._PHI)))
+        with warnings.catch_warnings():  # every warning is an error, here alone
+            warnings.simplefilter("error")
+            residual = representation_residual(m, omega)
+        assert residual < qcwaves.verify.REPRESENTATION_TOLERANCE
 
-    def test_no_points_rejected(self):
-        with pytest.raises(ValueError, match="at least one point"):
-            decoupling_check(M_DECOUPLED, OMEGA, [])
+    def test_gauss_legendre_rule_is_exact_to_degree_127(self):
+        x, w = qcwaves.verify._gauss_legendre(qcwaves.verify._HALF_NODES)
+        nodes, weights = np.polynomial.legendre.leggauss(qcwaves.verify._HALF_NODES)
+        order = np.argsort(x)
+        assert np.max(np.abs(x[order] - nodes)) <= 2e-16
+        assert np.max(np.abs(w[order] - weights) / weights) < 2e-12  # leggauss's own error
+        for k in range(0, 128, 2):
+            assert abs(w @ x**k - 2.0 / (k + 1)) < 1e-15
 
-    @pytest.mark.parametrize("xi, points, error", [
-        ((0.0, 1.0), [(0.5, -0.5)], SourceOutsideHalfPlane),
-        ((0.0, 0.0), [(0.5, -0.5)], SourceOnBoundary),
-        ((0.0, -1.0), [(0.5, -0.5), (0.5, 0.25)], PointOutsideHalfPlane),
-    ], ids=["source-above", "source-on-boundary", "point-above"])
-    def test_outside_half_plane_rejected(self, xi, points, error):
-        # every point is checked against the image-sum form too
-        with pytest.raises(error):
-            decoupling_check(M_DECOUPLED, OMEGA, points, xi=xi)
+    def test_unreflected_wave_is_order_one(self, monkeypatch):
+        # negative control: without the reflected wave the traction on x2 = 0, which the
+        # half-plane contour leaves out, does not vanish
+        monkeypatch.setattr(qcwaves.verify, "halfplane_freefield", fullplane_incident)
+        stress = qcwaves.verify.freefield_stress
+        monkeypatch.setattr(qcwaves.verify, "freefield_stress",
+                            lambda *args, half_plane: stress(*args))
+        assert representation_residual(M, OMEGA) > 0.1
 
-
-class TestBoundaryScan:
-    def test_green_function_boundary(self):
-        assert boundary_traction_scan(M, OMEGA, (0.2, -0.9)) < 1e-10
-
-    def test_freefield_boundary(self):
-        for mode in ("S1", "S2"):
-            wave = IncidentWave(mode=mode, amplitude=1.0, phi=0.6)
-            assert boundary_traction_scan(M, OMEGA, wave) < 1e-13
-
-    def test_unreflected_wave_is_order_one(self):
-        # negative control: without the reflected wave the boundary
-        # traction does not cancel
-        wave = IncidentWave(mode="S1", amplitude=1.0, phi=0.6)
-        value = boundary_traction_scan(M, OMEGA, wave, include_reflection=False)
-        assert value > 0.5
+    def test_half_plane_stress_still_overflows_at_the_top_of_the_band(self):
+        # a gap that stays: at k2 = 1.5e308 freefield_stress overflows before its amplitude
+        # scales it down, so the value reads NaN and its record fails
+        m = QcMaterial(c44=1.0, R3=0.0, K2=1.0, rho=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(representation_residual(m, 1.5e308))
 
 
 @pytest.mark.parametrize("check, name", [
@@ -267,9 +258,7 @@ class TestBoundaryScan:
                             M, OMEGA, v, H), "stencil centre at"),
     (lambda v: dirac_flux(M, v, OMEGA, 1e-3 / wave_parameters(decompose(M), M.rho, OMEGA).k2),
      "source xi"),
-    (lambda v: decoupling_check(M_DECOUPLED, OMEGA, [(0.5, -0.5), v]), "points[1]"),
-    (lambda v: boundary_traction_scan(M, OMEGA, v), "source_or_wave"),
-], ids=["pde_residual", "dirac_flux", "decoupling_check", "boundary_traction_scan"])
+], ids=["pde_residual", "dirac_flux"])
 def test_checks_read_points_and_sources_as_pairs(check, name):
     # a third coordinate is named, not dropped (nor a bare ValueError of math.dist)
     message = f"{name} must be a pair of numbers; got (0.5, -0.5, 9.0)"
@@ -287,7 +276,7 @@ def test_reports_serialize_to_plain_dicts():
         M, OMEGA, (1.0, 0.5), H,
     )
     assert type(residual) is float
-    assert type(decoupling_check(M_DECOUPLED, OMEGA, [(0.5, -0.5)])) is float
+    assert type(representation_residual(M, OMEGA)) is float
     records = list(qcwaves.verify.run(M_DECOUPLED, [OMEGA]))
     assert json.loads(json.dumps(records)) == records
 
@@ -297,10 +286,8 @@ def test_reports_serialize_to_plain_dicts():
 RECORD_KEYS = {
     "pde-residual": {"max_kernel_residual", "kernel_tolerance",
                      "max_wave_residual", "wave_tolerance", "margin"},
-    "dirac-flux": {"deviation", "tolerance", "margin"},
-    "decoupling": {"max_relative_error", "n_points", "tolerance", "margin"},
-    "boundary-scan": {"max_green_traction", "green_tolerance",
-                      "max_freefield_traction", "freefield_tolerance", "margin"},
+    "dirac-flux": {"deviation", "tolerance", "representation_residual",
+                   "representation_tolerance", "margin"},
 }
 
 
@@ -311,11 +298,9 @@ def test_suite_record_keys_are_pinned():
     records = list(qcwaves.verify.run(demo, [omega])) + \
         list(qcwaves.verify.run(decoupled, [omega]))
     assert [(r["name"], r["status"]) for r in records] == \
-        [(name, "skipped" if name == "decoupling" else "pass") for name in RECORD_KEYS] + \
-        [(name, "pass") for name in RECORD_KEYS]
+        [(name, "pass") for name in RECORD_KEYS] * 2
     for r in records:
-        extra = {"note"} if r["status"] == "skipped" else RECORD_KEYS[r["name"]]
-        assert set(r) == {"name", "status", "omega"} | extra, r["name"]
+        assert set(r) == {"name", "status", "omega"} | RECORD_KEYS[r["name"]], r["name"]
     # every (value, tolerance) pair a reader of the report looks up is in its record
     margin_keys = runpy.run_path(str(ROOT / "benchmarks" / "oracle.py"))["MARGIN_KEYS"]
     limits = {name: [(value, tolerance) for value, tolerance, _ in limit]
@@ -362,14 +347,18 @@ class TestNanResult:
     """A NaN result must fail its check: the builtin max(0.0, nan) is 0.0."""
 
     KERNELS = ("fundamental_displacement", "fundamental_traction", "green_displacement",
-               "green_traction", "freefield_traction", "macdonald_k0_neg_i")
+               "green_traction", "freefield_stress")
 
     @pytest.fixture
     def nan_kernels(self, monkeypatch):
+        def nan(value):
+            return tuple(v * math.nan for v in value) if isinstance(value, tuple) \
+                else value * math.nan
+
         for name in self.KERNELS:
             kernel = getattr(qcwaves.verify, name)
             monkeypatch.setattr(qcwaves.verify, name,
-                                lambda *a, kernel=kernel, **kw: kernel(*a, **kw) * math.nan)
+                                lambda *a, kernel=kernel, **kw: nan(kernel(*a, **kw)))
 
     @pytest.mark.parametrize("suite", sorted(qcwaves.verify.SUITES))
     def test_every_suite_fails(self, nan_kernels, suite):
@@ -380,17 +369,15 @@ class TestNanResult:
         assert math.isnan(pde_residual(
             lambda p: qcwaves.verify.fundamental_displacement(M, p, (0.0, 0.0), OMEGA)[:, 0],
             M, OMEGA, (1.0, 0.5), H))
-        assert math.isnan(decoupling_check(M_DECOUPLED, OMEGA, [(0.5, -0.5)]))
-        assert math.isnan(boundary_traction_scan(M, OMEGA, (0.2, -0.9)))
+        assert math.isnan(representation_residual(M, OMEGA))
 
     def test_verify_exits_four(self, nan_kernels, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"schema_version": 1, "c44": M_DECOUPLED.c44, "R3": 0.0,
                                     "K2": M_DECOUPLED.K2, "rho": M_DECOUPLED.rho}))
-        # without dirac-flux, whose "<" comparisons already fail on NaN
-        suites = "pde-residual,decoupling,boundary-scan"
-        assert qcwaves.cli.main(["verify", "--material", str(path), "--omega", "3.0",
-                                 "--suite", suites]) == 4
+        for suite in qcwaves.verify.SUITES:
+            assert qcwaves.cli.main(["verify", "--material", str(path), "--omega", "3.0",
+                                     "--suite", suite]) == 4, suite
 
 
 class TestRun:
@@ -415,17 +402,16 @@ class TestRun:
             with pytest.raises(error, match=message):
                 next(qcwaves.verify.run(m, omegas, suites))
 
-    def test_skipped_suite_does_not_fail(self):
-        records = list(qcwaves.verify.run(M, [OMEGA, 2 * OMEGA], ["decoupling"], seed=3))
+    def test_all_passed_is_no_failed_record(self):
+        records = list(qcwaves.verify.run(M, [OMEGA, 2 * OMEGA], ["dirac-flux"], seed=3))
         assert [(r["name"], r["status"], r["omega"]) for r in records] == \
-            [("decoupling", "skipped", OMEGA), ("decoupling", "skipped", 2 * OMEGA)]
+            [("dirac-flux", "pass", OMEGA), ("dirac-flux", "pass", 2 * OMEGA)]
         assert qcwaves.verify.all_passed(records)
         assert not qcwaves.verify.all_passed(records + [{"status": "fail"}])
 
 
 def test_tolerances_are_the_named_constants():
     rng = np.random.default_rng(0)
-    assert qcwaves.verify.SUITES["dirac-flux"](M, OMEGA, rng)["tolerance"] == \
-        qcwaves.verify.DIRAC_FLUX_TOLERANCE
-    assert qcwaves.verify.SUITES["decoupling"](M_DECOUPLED, OMEGA, rng)["tolerance"] == \
-        qcwaves.verify.DECOUPLING_TOLERANCE
+    record = qcwaves.verify.SUITES["dirac-flux"](M, OMEGA, rng)
+    assert record["tolerance"] == qcwaves.verify.DIRAC_FLUX_TOLERANCE
+    assert record["representation_tolerance"] == qcwaves.verify.REPRESENTATION_TOLERANCE

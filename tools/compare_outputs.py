@@ -14,8 +14,7 @@ with its ``src/`` on PYTHONPATH, on inputs written to a temporary directory:
 * a ``green-half`` point list of 1,500 points with displacement and
   traction, which also spans two blocks;
 * ``verify`` on the demo material at 1e4 and 1e6 rad/s;
-* ``verify`` on an R3 = 0 copy of the demo material at the same frequencies,
-  where the decoupling suite runs instead of being skipped;
+* ``verify`` on an R3 = 0 copy of the demo material at the same frequencies;
 * ``verify`` on an R3 = 0 material of contrast K2/c44 = 1e-8 (c44 = 4.2e10,
   K2 = 420, rho = 4186) at the same frequencies, which shows ``pde-residual``
   at high contrast;
