@@ -18,7 +18,7 @@ def test_same_tree_reports_every_output_identical():
                           capture_output=True, text=True, timeout=300)
     lines = done.stdout.splitlines()
     assert done.returncode == 0, done.stdout + done.stderr
-    assert len(lines) == 17 and all(line.split()[1].startswith("identical") for line in lines)
+    assert len(lines) == 18 and all(line.split()[1].startswith("identical") for line in lines)
     assert sum("max ulp 0, max diff / column max 0" in line for line in lines) == 6
 
 

@@ -9,9 +9,14 @@ wavenumber, mode vector zeta, stress scale or reflected term), runs every suite 
 failed, else pass. The rows are the standing record of what each suite can
 detect.
 
-``pde-residual`` checks the equations of motion by finite differences. It sees
-k2 and psi at 1e-3, the free-field k at 1e-6 and zeta at 1e-3 (not at 1e-6),
-and no scale: a common factor leaves the equations as they are.
+``pde-residual`` checks each mode's Helmholtz equation by finite differences,
+on the field's component along that mode's row of the rotation that diagonalizes
+C. It sees k2 and psi at 1e-3, the free-field k at 1e-6 and zeta at 1e-3 (not at
+1e-6), and no scale: a common factor leaves the equations as they are. A wrong
+psi mixes the slow mode into the fast mode's row, whose stencil amplifies it by
+(k2 / k1)^2, at most 8 / (k1 h)^2 = 1.8e6: on a coupled material of high contrast
+(``COUPLED``, a1 / a2 = 5e9) psi + 1e-6 reads 1.8, where the clean material reads
+2.2e-5.
 
 ``dirac-flux`` holds two values. Its flux, read at one radius against a tolerance of
 1.2e-10, sees the kernel scale and K1 at 1e-6 and Y_nu at 1e-9, of either sign;
@@ -33,11 +38,12 @@ import qcwaves.freefield as freefield
 import qcwaves.halfplane as halfplane
 import qcwaves.kernels as kernels
 import qcwaves.specfun as specfun
-from qcwaves import verify
+from qcwaves import QcMaterial, verify
 from qcwaves.scenario import load_material
 
 DEMO = load_material(Path(__file__).resolve().parents[1] / "demos" / "material.json")
 MATERIALS = (DEMO, dataclasses.replace(DEMO, R3=0.0))
+COUPLED = QcMaterial(c44=1.0, R3=9900.0, K2=1e8, rho=1.0)  # coupling 0.99, a1 / a2 = 5e9
 OMEGAS = (1e3, 1e6)
 
 
@@ -162,9 +168,15 @@ def test_each_suite_gives_its_measured_verdict(monkeypatch, defect):
 
 
 def test_clean_tree_passes_every_suite():
-    for m in MATERIALS:
+    for m in (*MATERIALS, COUPLED):
         assert [(r["name"], r["status"]) for r in verify.run(m, OMEGAS, seed=1)] == \
             [(name, "pass") for name in verify.SUITES] * len(OMEGAS)
+
+
+def test_pde_residual_sees_psi_1e_6_at_high_contrast(monkeypatch):
+    MATRIX["psi + 1e-6"][0](monkeypatch)
+    for record in verify.run(COUPLED, OMEGAS, suites=["pde-residual"], seed=1):
+        assert record["max_kernel_residual"] >= 10.0 * verify.PDE_KERNEL_TOLERANCE
 
 
 @pytest.mark.parametrize("defect", [name for name in MATRIX if name.startswith("Y_nu")])

@@ -18,6 +18,9 @@ with its ``src/`` on PYTHONPATH, on inputs written to a temporary directory:
 * ``verify`` on an R3 = 0 material of contrast K2/c44 = 1e-8 (c44 = 4.2e10,
   K2 = 420, rho = 4186) at the same frequencies, which shows ``pde-residual``
   at high contrast;
+* ``verify`` on a coupled material of high contrast (c44 = 1, R3 = 9900,
+  K2 = 1e8, rho = 1: coupling 0.99, a1/a2 = 5e9) at the same frequencies,
+  which shows ``pde-residual`` where the moduli lie far apart;
 * ``decompose`` on the demo material at 1, 6.283e6 and 1e9 rad/s, whose
   stdout is kept as ``decompose.txt``;
 * each tree's own ``demos/verification_tour.py`` (beside its ``src/``), whose
@@ -75,8 +78,10 @@ SCENARIOS = {
 SAMPLES = ("fundamental", *SCENARIOS)  # fundamental: demos/scenario_fundamental.json
 VERIFY_OMEGAS = "1e4,1e6"
 VERIFY_REPORTS = {"verify.json": "material.json", "verify-r3zero.json": "material_r3zero.json",
-                  "verify-contrast.json": "material_contrast.json"}
+                  "verify-contrast.json": "material_contrast.json",
+                  "verify-coupled.json": "material_coupled.json"}
 CONTRAST_MATERIAL = {"schema_version": 1, "c44": 4.2e10, "R3": 0.0, "K2": 420.0, "rho": 4186.0}
+COUPLED_MATERIAL = {"schema_version": 1, "c44": 1.0, "R3": 9900.0, "K2": 1e8, "rho": 1.0}
 DECOMPOSE_OMEGAS = "1,6.283e6,1e9"
 _MISSING = object()  # a key only one JSON document has
 ULP_FLOOR = 1e-3  # csv_distance counts ulps on entries >= this fraction of the column max
@@ -87,6 +92,7 @@ def write_inputs(where: Path) -> None:
     decoupled = {**json.loads((DEMOS / "material.json").read_text(encoding="utf-8")), "R3": 0.0}
     (where / "material_r3zero.json").write_text(json.dumps(decoupled), encoding="utf-8")
     (where / "material_contrast.json").write_text(json.dumps(CONTRAST_MATERIAL), encoding="utf-8")
+    (where / "material_coupled.json").write_text(json.dumps(COUPLED_MATERIAL), encoding="utf-8")
     shutil.copy(DEMOS / "scenario_fundamental.json", where / "fundamental.json")
     for name, doc in SCENARIOS.items():
         (where / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
