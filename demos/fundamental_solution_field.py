@@ -37,9 +37,9 @@ def main():
         print(f"{frac:10.2f} {abs(v[0, 0]):12.4e} {abs(v[1, 0]):12.4e} "
               f"{abs(v[0, 1]):12.4e} {asym:12.1e} {abs(v[0, 0]) * math.sqrt(r):14.4e}")
 
-    # tractions on a circle around the source integrate to minus identity
+    # the traction flux through a circle around the source is minus identity
     total = dirac_flux(m, xi, omega, eps=1e-3 / wp.k2)
-    print("\ncontour integral of the traction kernel over a small circle:")
+    print("\nflux of the traction kernel through a small circle around the source:")
     with np.printoptions(precision=3, suppress=False):
         print(total)
     print(f"deviation from -I2: {np.linalg.norm(total + np.eye(2)):.3e} "

@@ -56,6 +56,12 @@ __all__ = [
 MODES = ("S1", "S2")
 
 
+def _check_mode(mode: str) -> None:
+    """The one rule that a mode is "S1" or "S2"; anything else raises ValidationError."""
+    if mode not in MODES:
+        raise ValidationError(f"mode must be one of {MODES}; got {mode!r}")
+
+
 @dataclass(frozen=True)
 class IncidentWave:
     """A single incident plane shear wave.
@@ -71,8 +77,7 @@ class IncidentWave:
     phi: float
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValidationError(f"mode must be one of {MODES}; got {self.mode!r}")
+        _check_mode(self.mode)
         if not (0.0 < self.phi < 0.5 * math.pi):
             raise ValidationError(
                 f"incidence angle must lie strictly inside (0, pi/2); got {self.phi}"
@@ -83,8 +88,7 @@ class IncidentWave:
 
 def mode_vector(m: QcMaterial, mode: str) -> np.ndarray:
     """Unit polarization vector of a mode: Q column 1 for S1, column 2 for S2."""
-    if mode not in MODES:
-        raise ValidationError(f"mode must be one of {MODES}; got {mode!r}")
+    _check_mode(mode)
     d = decompose(m)
     if mode == "S1":
         return np.array([d.cos_psi, d.sin_psi])

@@ -10,7 +10,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
-from hypothesis import strategies as st
 
 import qcwaves.cli
 import qcwaves.verify
@@ -28,6 +27,7 @@ from qcwaves import (
     dirac_flux,
     fullplane_incident,
     fundamental_displacement,
+    fundamental_stress,
     mode_vector,
     pde_residual,
     representation_residual,
@@ -50,6 +50,22 @@ class TestPdeResidual:
             M, OMEGA, (2.0 / wp.k1, 0.0), "S1",
         )
         assert 0.0 < residual < 1e-4
+
+    @pytest.mark.parametrize("mode", ["S1", "S2"])
+    @pytest.mark.parametrize("kr", [0.6, 18.0])
+    def test_both_load_columns_read_the_worse_column(self, kr, mode):
+        # one kernel evaluation per stencil point gives the worse single-column value, bit
+        # for bit, each column relative to its own norm
+        wp = wave_parameters(decompose(M), M.rho, OMEGA)
+        r = kr / (wp.k1 if mode == "S1" else wp.k2)
+        at = (r * math.cos(0.7), r * math.sin(0.7))
+
+        def kernel(p):
+            return fundamental_displacement(M, p, (0.0, 0.0), OMEGA)
+
+        columns = [pde_residual(lambda p, col=col: kernel(p)[:, col], M, OMEGA, at, mode)
+                   for col in (0, 1)]
+        assert pde_residual(kernel, M, OMEGA, at, mode) == max(columns)
 
     def test_incident_wave_is_smooth(self):
         # no singularity anywhere: the O((k h)^2) truncation is well under 1e-6 on both rows,
@@ -150,31 +166,49 @@ class TestDiracFlux:
         flux = dirac_flux(M_DECOUPLED, (0.0, 0.0), OMEGA, 1e-3 / wp.k2)
         assert abs(flux[0, 1]) < 1e-12 and abs(flux[1, 0]) < 1e-12
 
+    def test_flux_is_the_radial_stress_times_the_circumference(self):
+        # the traction on a centred circle is the same at every point: at (xi1 + eps, xi2)
+        # with normal (1, 0) it is the x1-direction stress, sigma[:, 0] and H[:, 0]
+        wp = wave_parameters(decompose(M), M.rho, OMEGA)
+        eps, xi = 1e-3 / wp.k2, (0.3, -0.7)
+        sigma, h = fundamental_stress(M, (xi[0] + eps, xi[1]), xi, OMEGA)
+        expected = 2.0 * math.pi * eps * np.array([sigma[:, 0], h[:, 0]])
+        assert np.array_equal(dirac_flux(M, xi, OMEGA, eps), expected)
+
     def test_radius_too_large(self):
         wp = wave_parameters(decompose(M), M.rho, OMEGA)
         with pytest.raises(RadiusTooLarge):
             dirac_flux(M, (0.0, 0.0), OMEGA, 0.2 / wp.k2)
 
+    # k1 = k2 gives the largest clean deviation, 1.03e-11
     @settings(max_examples=150, deadline=None)
-    @given(st.floats(-10.0, 10.0),  # log10 K2/c44
-           st.one_of(st.just(0.0), st.floats(0.0, 1.0),  # R3 / sqrt(c44 K2)
-                     st.floats(-12.0, 0.0).map(lambda t: 1.0 - 10.0**t)),
-           st.floats(-100.0, 100.0), st.floats(-100.0, 100.0),  # log10 c44, log10 rho
-           st.floats(-300.0, 301.65))  # log10 k2, below the suite's bound k2 <= 4.5e301
-    @example(0.0, 0.0, 0.0, 0.0, 0.0)  # k1 = k2: the largest clean deviation, 1.03e-11
-    def test_clean_suite_passes_tenfold_below_its_tolerance(self, log_contrast, coupling,
-                                                             log_c44, log_rho, log_k2):
-        c44 = 10.0**log_c44
-        K2 = c44 * 10.0**log_contrast
-        m = QcMaterial(c44=c44, R3=coupling * math.sqrt(c44 * K2), K2=K2, rho=10.0**log_rho)
-        try:
-            omega = 10.0**log_k2 * math.sqrt(decompose(m).a2 / m.rho)
-            wave_parameters(decompose(m), m.rho, omega)
-        except (ValidationError, DomainError):  # the material or omega is outside the domain
-            assume(False)
+    @given(accepted_materials_and_omegas())
+    @example((QcMaterial(c44=1.0, R3=0.0, K2=1.0, rho=1.0), 1.0))
+    def test_clean_suite_passes_tenfold_below_its_tolerance(self, case):
+        m, omega = case
+        wp = wave_parameters(decompose(m), m.rho, omega)
+        assume(wp.k1 >= 1e-300 and wp.k2 <= 4.5e301)  # the band, up to the flux's bound
         record = qcwaves.verify.SUITES["dirac-flux"](m, omega, np.random.default_rng(0))
         assert record["status"] == "pass"
         assert record["deviation"] < qcwaves.verify.DIRAC_FLUX_TOLERANCE / 10.0
+
+
+def test_run_evaluates_each_kernel_once_per_point(monkeypatch):
+    # per (material, omega): pde-residual's 8 stencils of 5 points and the full-plane
+    # contour's 32 nodes (72 v*), the flux's one traction and the contour's 32 (33 t*), and
+    # the half-plane contour's 64 nodes of g* and its traction
+    counts = {}
+    for name in ("fundamental_displacement", "fundamental_traction", "green_displacement",
+                 "green_traction"):
+        def counted(*args, name=name, kernel=getattr(qcwaves.verify, name), **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(qcwaves.verify, name, counted)
+    demo = load_material(ROOT / "demos" / "material.json")
+    assert qcwaves.verify.all_passed(qcwaves.verify.run(demo, [1e4]))
+    assert counts == {"fundamental_displacement": 72, "fundamental_traction": 33,
+                      "green_displacement": 64, "green_traction": 64}
 
 
 class TestBand:
