@@ -148,12 +148,17 @@ def halfplane_freefield(m: QcMaterial, wave: IncidentWave, omega: float, x) -> n
 
 
 def _stress_parts(m: QcMaterial, wave: IncidentWave, omega: float, x, half_plane: bool):
-    """(sigma_3j, H_3j) = a zeta * gradient as (N, j, re/im) arrays, and single."""
+    """(sigma_3j, H_3j) = a zeta * gradient as (N, j, re/im) arrays, and single.
+
+    The gradient is formed with k / 2 and doubled last: the sum of the two exponentials
+    reaches 2, so k cos(phi) times it overflows from k of about 9e307 whatever the amplitude.
+    Halving and doubling are exact on normal floats, so a value that fit before keeps its bits."""
     k, a, zeta, (c, s), e, single = _plane_wave(m, wave, omega, x, half_plane)
+    half_k = 0.5 * k
     diff = e[0] - e[1] if half_plane else e[0]  # exactly zero on x2 = 0
-    d = np.stack([_times(1j * k * c, e.sum(axis=0)), _times(1j * k * s, diff)], axis=1)
+    d = np.stack([_times(1j * half_k * c, e.sum(axis=0)), _times(1j * half_k * s, diff)], axis=1)
     g = _times(wave.amplitude, d)
-    return *(_times(a * z, g) for z in zeta), single
+    return *(2.0 * _times(a * z, g) for z in zeta), single
 
 
 def freefield_stress(

@@ -47,6 +47,7 @@ __all__ = [
 ]
 
 _last_decomposition, _last_waves = (None, None), (None, None, None, None)
+_NORMAL_MIN = 2.0**-1022  # the smallest normal float
 
 
 @dataclass(frozen=True)
@@ -150,20 +151,28 @@ def decompose(m: QcMaterial) -> SpectralDecomposition:
     Returns a1 >= a2 > 0 and the rotation angle psi in [0, pi/2].
 
     a1 takes the + branch of the quadratic formula; a2 is computed as
-    det(C)/a1 to stay accurate for nearly singular C. At R3 = 0 the
-    eigenvector formula degenerates (0/0) and psi is assigned its
-    continuity limit: 0 for c44 >= K2, pi/2 for c44 < K2.
+    det(C)/a1 to stay accurate for nearly singular C. A determinant below the
+    normal floats (c44 = K2 = 1e-156) is formed again in units of 2**e, 2**(2 e)
+    near c44 K2, so it keeps its digits; a power of two scales every normal
+    float exactly. a2 rounds to at most a1. At R3 = 0 the eigenvector formula
+    degenerates (0/0) and psi is assigned its continuity limit: 0 for
+    c44 >= K2, pi/2 for c44 < K2.
     """
     global _last_decomposition
     if (memo := _last_decomposition)[0] is m:
         return memo[1]
     validate(m)
     trace = m.c44 + m.K2
-    det = _determinant(m)
+    det, e = _determinant(m), 0
+    if det < _NORMAL_MIN:  # again in units of 2**e, the larger modulus below 2**995
+        e_c, e_k = math.frexp(m.c44)[1], math.frexp(m.K2)[1]
+        e = max((e_c + e_k) // 2, max(e_c, e_k) - 990)
+        det = _determinant(QcMaterial(c44=math.ldexp(m.c44, -e), R3=math.ldexp(m.R3, -e),
+                                      K2=math.ldexp(m.K2, -e), rho=m.rho))
     # sum-of-squares form of the discriminant: no cancellation
     disc = math.hypot(m.c44 - m.K2, 2.0 * m.R3)
     a1 = 0.5 * trace + 0.5 * disc  # = 0.5 * (trace + disc), which can overflow
-    a2 = det / a1
+    a2 = min(math.ldexp(det / math.ldexp(a1, -e), e), a1)
     if m.R3 == 0.0:
         psi = 0.0 if m.c44 >= m.K2 else 0.5 * math.pi
     else:
@@ -183,6 +192,12 @@ def decompose(m: QcMaterial) -> SpectralDecomposition:
     return memo[1]
 
 
+def _sqrt_ratio(x: float, y: float) -> float:
+    """sqrt(x / y), also where x / y leaves the normal floats but its root does not."""
+    q = x / y
+    return math.sqrt(q) if _NORMAL_MIN <= q < math.inf else math.sqrt(x) / math.sqrt(y)
+
+
 def wave_parameters(d: SpectralDecomposition, rho: float, omega: float) -> WaveParameters:
     """Wavenumbers k_i = omega*sqrt(rho/a_i) and speeds c_i = sqrt(a_i/rho)."""
     global _last_waves
@@ -192,12 +207,12 @@ def wave_parameters(d: SpectralDecomposition, rho: float, omega: float) -> WaveP
         raise NonPositiveFrequency(f"need omega > 0; got {omega}")
     if not (rho > 0.0):
         raise NonPositiveDensity(f"need rho > 0; got {rho}")
-    k1 = omega * math.sqrt(rho / d.a1)
-    k2 = omega * math.sqrt(rho / d.a2)
+    k1 = omega * _sqrt_ratio(rho, d.a1)
+    k2 = omega * _sqrt_ratio(rho, d.a2)
     if not (0.0 < k1 and k2 < math.inf):  # k1 <= k2
         raise DomainError(f"wavenumbers k1 = {k1:g}, k2 = {k2:g} leave the float range")
-    c1 = math.sqrt(d.a1 / rho)
-    c2 = math.sqrt(d.a2 / rho)
+    c1 = _sqrt_ratio(d.a1, rho)
+    c2 = _sqrt_ratio(d.a2, rho)
     _last_waves = memo = (d, rho, omega, WaveParameters(omega=omega, k1=k1, k2=k2, c1=c1, c2=c2))
     return memo[3]
 

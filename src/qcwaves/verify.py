@@ -7,7 +7,7 @@ finite-difference stencils, or contour quadrature against the plane-wave free
 fields, which call no cylinder function. No suite checks symmetry: the kernels
 write v*_21 as v*_12.
 
-All checks are deterministic: random sampling draws from the generator
+All checks are deterministic: random sampling draws from the ``random.Random``
 the caller passes, and aggregation is order-independent, so reports are
 reproducible bit for bit. Every reduction is ``_worst``, a max that returns
 NaN if any value is NaN (the builtin ``max(0.0, nan)`` is 0.0), so a NaN
@@ -18,16 +18,19 @@ Each check returns what it measured, a worst relative value or the 2x2 flux of
 runner ``(m, omega, rng) -> dict`` that samples its layout from ``rng`` and returns ``_record``
 of what it measured: its ``status`` by the pass rule of ``LIMITS`` alone, the values and their
 tolerances. ``run`` is the whole ``qcwaves verify`` run: it seeds each (omega, suite) pair with
-its own generator and yields the records, after rejecting any omega below the band
-k1 >= 1e-300, where a layout would leave the float range. The checks read their points and
-sources through kernels._pair, so one that is not a pair of numbers is a ValidationError
-naming it, and an overflow inside a check reads inf or NaN, so it fails.
+its own ``random.Random``, keyed by the seed and the suite's name, and yields the records,
+after rejecting any omega below the band k1 >= 1e-300, where a layout would leave the float
+range. The checks read their points and sources through kernels._pair, so one that is not a
+pair of numbers is a ValidationError naming it, and an overflow inside a check reads inf or
+NaN, so it fails.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Callable, Iterator, Sequence
+import random
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -162,8 +165,10 @@ def dirac_flux(m: QcMaterial, xi, omega: float, eps: float) -> np.ndarray:
                                                       (1.0, 0.0))
 
 
+@functools.cache
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1] by Newton on P_n (LAPACK adds 1.3 MB RSS)."""
+    """Gauss-Legendre nodes and weights on [-1, 1] by Newton on P_n (LAPACK adds 1.3 MB RSS),
+    computed once per process and n; the arrays are read-only, since every call shares them."""
     x = np.cos(math.pi * (np.arange(n) + 0.75) / (n + 0.5))  # within 3e-5 of the roots
     for _ in range(6):  # quadratic convergence: the last steps are below 1e-16
         p0, p1 = np.ones(n), x
@@ -171,7 +176,9 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
             p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
         dp = n * (p0 - x * p1) / (q := (1.0 - x) * (1.0 + x))  # P_n'(x)
         x = x - p1 / dp
-    return x, 2.0 / (q * dp * dp)
+    w = 2.0 / (q * dp * dp)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def representation_residual(m: QcMaterial, omega: float) -> float:
@@ -233,7 +240,7 @@ def _pde_residual_suite(m: QcMaterial, omega: float, rng) -> dict:
     lam = 2.0 * math.pi / wp.k2  # the slow wavelength
     for mode in MODES:
         wave = IncidentWave(mode=mode, amplitude=1.0 + 0.0j, phi=rng.uniform(0.1, 1.4))
-        at = tuple(rng.uniform(-lam, lam, size=2))
+        at = (rng.uniform(-lam, lam), rng.uniform(-lam, lam))
         for row in MODES:  # the off-mode row is what sees a rotated zeta
             wave_worst = _worst(wave_worst, pde_residual(
                 lambda p: fullplane_incident(m, wave, omega, p), m, omega, at, row))
@@ -247,24 +254,25 @@ def _dirac_flux_suite(m: QcMaterial, omega: float, rng) -> dict:
                    representation_residual=representation_residual(m, omega))
 
 
-# The suites ``qcwaves verify`` runs, in their default order. (The annotation
-# is not evaluated, so importing this module does not import numpy.random.)
-SUITES: dict[str, Callable[[QcMaterial, float, np.random.Generator], dict]] = {
+# The suites ``qcwaves verify`` runs, in their default order.
+SUITES: dict[str, Callable[[QcMaterial, float, random.Random], dict]] = {
     "pde-residual": _pde_residual_suite,
     "dirac-flux": _dirac_flux_suite,
 }
 
 
-def run(m: QcMaterial, omegas: Sequence[float], suites: Sequence[str] = tuple(SUITES),
+def run(m: QcMaterial, omegas: Sequence[float], suites: Iterable[str] = tuple(SUITES),
         seed: int = DEFAULT_SEED) -> Iterator[dict]:
     """Yield the record ``{"name", **runner(m, omega, rng), "omega"}`` of each suite at each omega.
 
-    Each (omega, suite) pair draws from ``np.random.default_rng((seed, k))``, k the suite's
-    position in SUITES, so a record depends only on m, omega, the suite and the seed, not on
-    which suites run or in what order. Before any suite runs, wave_table checks m and omegas,
-    and an omega below the band (k1 < 1e-300), an empty suite list, an unknown or repeated
-    name or a negative seed raises ValidationError.
+    Each (omega, suite) pair draws from ``random.Random(f"{seed}/{name}")``, a stream keyed by
+    the suite's name, so a record depends only on m, omega, the suite and the seed, not on
+    which suites run, in what order, or where the suite stands in SUITES. ``suites`` is read
+    once, so any iterable of names will do. Before any suite runs, wave_table checks m and
+    omegas, and an omega below the band (k1 < 1e-300), an empty suite list, an unknown or
+    repeated name or a negative seed raises ValidationError.
     """
+    suites = tuple(suites)
     waves = wave_table(m, omegas)
     for wp in waves:
         if not wp.k1 >= _K1_MIN:
@@ -272,16 +280,17 @@ def run(m: QcMaterial, omegas: Sequence[float], suites: Sequence[str] = tuple(SU
                                   f"{wp.k1:g} must be at least {_K1_MIN:g}")
     if not suites:
         raise ValidationError("empty suite list")
+    known = tuple(SUITES)
     for i, name in enumerate(suites):
-        if name not in SUITES:
-            raise ValidationError(f"unknown suite {name!r}; choose from {tuple(SUITES)}")
+        if name not in known:  # by equality, so an unhashable name is unknown too
+            raise ValidationError(f"unknown suite {name!r}; choose from {known}")
         if name in suites[:i]:
             raise ValidationError(f"suite {name!r} is repeated")
     if seed < 0:
         raise ValidationError(f"--seed must be >= 0; got {seed}")
     for wp in waves:
         for name in suites:
-            rng = np.random.default_rng((seed, list(SUITES).index(name)))
+            rng = random.Random(f"{seed}/{name}")
             yield {"name": name, **SUITES[name](m, wp.omega, rng), "omega": wp.omega}
 
 

@@ -1,4 +1,12 @@
-"""Hypothesis strategies for the inputs the library accepts."""
+"""The inputs the library accepts, drawn by hypothesis or by a seeded numpy Generator.
+
+One domain serves every test that draws a material: K2 / c44 spans 1e10 either way, the
+coupling R3 / sqrt(c44 K2) is 0, uniform in [0, 1) or 1 - 10^U(-12, 0), c44 is
+log-uniform in [1e-290, 1e290] and rho in [1e-300, 1e300]. ``accepted_materials`` draws
+it for hypothesis and ``random_material`` for a seeded loop; a test that needs a
+frequency either draws one over the whole range (``accepted_materials_and_omegas``) or
+sets the slow wavenumber with ``omega_at``, which keeps its lengths in units of 1/k2.
+"""
 
 import math
 
@@ -7,26 +15,62 @@ from hypothesis import strategies as st
 
 from qcwaves import DomainError, QcMaterial, ValidationError, decompose, wave_table
 
+LOG_C44 = (-290.0, 290.0)
+LOG_CONTRAST = (-10.0, 10.0)  # log10 K2 / c44
+LOG_GAP = (-12.0, 0.0)  # log10 (1 - coupling) of the couplings near 1
+LOG_RHO = (-300.0, 300.0)
+
+
+def material(log_c44: float, log_contrast: float, coupling: float, log_rho: float) -> QcMaterial:
+    """The material of one draw of the domain."""
+    c44 = 10.0**log_c44
+    K2 = c44 * 10.0**log_contrast
+    return QcMaterial(c44=c44, R3=coupling * math.sqrt(c44) * math.sqrt(K2), K2=K2,
+                      rho=10.0**log_rho)
+
+
+def accepted(m: QcMaterial) -> bool:
+    """Whether validate accepts m; c44 K2 - R3^2 may round to <= 0 or overflow."""
+    try:
+        decompose(m)
+    except ValidationError:
+        return False
+    return True
+
+
+@st.composite
+def accepted_materials(draw) -> QcMaterial:
+    """A material of the domain that validate accepts."""
+    coupling = draw(st.just(0.0) | st.floats(0.0, 1.0, exclude_max=True)
+                    | st.floats(*LOG_GAP).map(lambda t: 1.0 - 10.0**t))
+    m = material(draw(st.floats(*LOG_C44)), draw(st.floats(*LOG_CONTRAST)), coupling,
+                 draw(st.floats(*LOG_RHO)))
+    assume(accepted(m))
+    return m
+
+
+def random_material(rng) -> QcMaterial:
+    """A material of the domain that validate accepts, from a numpy Generator."""
+    while True:
+        coupling = (0.0, rng.uniform(0.0, 1.0),
+                    1.0 - 10.0 ** rng.uniform(*LOG_GAP))[rng.integers(3)]
+        m = material(rng.uniform(*LOG_C44), rng.uniform(*LOG_CONTRAST), coupling,
+                     rng.uniform(*LOG_RHO))
+        if accepted(m):
+            return m
+
+
+def omega_at(m: QcMaterial, k2: float) -> float:
+    """The omega at which the slow wavenumber of m is k2 (up to rounding)."""
+    return k2 * math.sqrt(decompose(m).a2) / math.sqrt(m.rho)
+
 
 @st.composite
 def accepted_materials_and_omegas(draw) -> tuple[QcMaterial, float]:
-    """A material that validate accepts and an omega that wave_table accepts for it.
-
-    K2 / c44 spans 1e10 either way, the coupling R3 / sqrt(c44 K2) is 0, uniform in
-    [0, 1) or 1 - 10^U(-12, 0), c44 is log-uniform in [1e-290, 1e290] and rho in
-    [1e-300, 1e300], and omega is log-uniform over the whole range where k1 > 0 and
-    k2 < inf.
-    """
-    c44 = 10.0 ** draw(st.floats(-290.0, 290.0))
-    K2 = c44 * 10.0 ** draw(st.floats(-10.0, 10.0))
-    coupling = draw(st.just(0.0) | st.floats(0.0, 1.0, exclude_max=True)
-                    | st.floats(-12.0, 0.0).map(lambda t: 1.0 - 10.0**t))
-    m = QcMaterial(c44=c44, R3=coupling * math.sqrt(c44) * math.sqrt(K2), K2=K2,
-                   rho=10.0 ** draw(st.floats(-300.0, 300.0)))
-    try:
-        d = decompose(m)
-    except ValidationError:  # c44 K2 - R3^2 rounds to <= 0 or overflows
-        assume(False)
+    """A material of accepted_materials and an omega that wave_table accepts for it,
+    log-uniform over the whole range where k1 > 0 and k2 < inf."""
+    m = draw(accepted_materials())
+    d = decompose(m)
     lr = math.log10(m.rho)
     lo = max(-323.0, -323.0 - 0.5 * (lr - math.log10(d.a1)))  # k1 = 1e-323
     hi = min(308.25, 308.25 - 0.5 * (lr - math.log10(d.a2)))  # k2 = 1.8e308

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -187,6 +188,23 @@ class TestSample:
         s = load_scenario(scenario_path)
         f = halfplane_freefield(m, s.wave, 3.0, (0.3, -0.8))
         assert vals[2:] == [f[0].real, f[0].imag, f[1].real, f[1].imag]
+
+    def test_half_plane_stress_is_finite_at_the_top_of_the_band(self, tmp_path):
+        # k2 = 1.5e308: 2 k2 sin(phi) overflows, but the traction is about 1e8, and
+        # freefield_stress doubles its gradient only after the amplitude scales it down
+        material = tmp_path / "m.json"
+        material.write_text(json.dumps({"schema_version": 1, "c44": 1.0, "R3": 0.0, "K2": 1.0,
+                                        "rho": 1.0}))
+        doc = {"schema_version": 1, "kind": "freefield-half", "omega": 1.5e308,
+               "wave": {"mode": "S2", "amplitude": [1e-300, 0.0], "phi": 1.2},
+               "points": [[1e-309, -3e-309], [2e-309, -1e-308]],
+               "outputs": ["displacement", "traction"], "normal": [0.0, 1.0]}
+        out = tmp_path / "f.csv"
+        assert cli.main(["sample", "--material", str(material),
+                         "--scenario", write_scenario(tmp_path, doc), "--out", str(out)]) == 0
+        rows = [[float(v) for v in line.split(",")] for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 2 and all(math.isfinite(v) for row in rows for v in row)
+        assert 1e7 < max(abs(v) for row in rows for v in row[6:]) < 1e9
 
     def test_malformed_scenario_is_parse_error(self, tmp_path, material_file):
         path = tmp_path / "bad.json"
@@ -949,3 +967,22 @@ class TestOutOfMemory:
         with pytest.raises(MemoryError):
             run_scenario(s, m, str(out), str(tmp_path / "f.csv.meta.json"))
         assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["verify", "sample"])
+def test_run_loads_no_hashing_or_numpy_random(tmp_path, command):
+    # verify draws its layouts from the stdlib generator, and sample draws nothing; numpy.random
+    # pulls in hashlib (OpenSSL), hmac, secrets and base64, megabytes of a run's peak memory
+    root = Path(__file__).resolve().parent.parent
+    args = (["verify", "--material", str(root / "demos" / "material.json"), "--omega", "1e4"]
+            if command == "verify" else
+            ["sample", "--material", str(root / "demos" / "material.json"), "--scenario",
+             str(root / "demos" / "scenario_fundamental.json"), "--out", str(tmp_path / "f.csv")])
+    probe = ("import sys; from qcwaves.cli import main; code = main(sys.argv[1:]); "
+             "print([m for m in ('numpy.random', 'hashlib', 'secrets') if m in sys.modules]); "
+             "sys.exit(code)")
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run([sys.executable, "-c", probe, *args], capture_output=True, text=True,
+                          env=env, cwd=tmp_path, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

@@ -1,8 +1,9 @@
 """Property: no JSON document makes the CLI leave its documented exit codes.
 
-Each example takes a valid material and scenario, replaces one key (or one
-key of the incident wave) with an arbitrary JSON value, or deletes it, and
-runs ``qcwaves sample`` or ``qcwaves verify`` through ``cli.main``. The exit
+Each example takes a material and an omega of ``tests/strategies.py`` and a
+valid scenario at that omega, replaces one key (or one key of the incident
+wave) with an arbitrary JSON value, or deletes it, and runs ``qcwaves sample``
+or ``qcwaves verify`` (at that omega) through ``cli.main``. The exit
 code must be 0, 2, 3 or 4, no exception may escape, a failed run must leave
 no CSV, and a CSV written with exit 0 must hold finite numbers only.
 
@@ -29,8 +30,8 @@ from qcwaves.scenario import (  # noqa: E402
     parse_scenario,
     scenario_to_dict,
 )
+from strategies import accepted_materials_and_omegas  # noqa: E402
 
-MATERIAL = {"schema_version": 1, "c44": 2.0, "R3": 1.0, "K2": 2.0, "rho": 1.0}
 WAVE = {"mode": "S1", "amplitude": [1.0, 0.0], "phi": 0.6}
 COMMON = {"schema_version": 1, "omega": 2.0, "grid": {"x1": [-1.0, 1.0, 3], "x2": [-2.0, -0.5, 3]},
           "outputs": ["displacement", "traction"], "normal": [0.0, 1.0]}
@@ -72,7 +73,8 @@ def _cap_counts(grid):
 @st.composite
 def cases(draw):
     command = draw(st.sampled_from(["sample", "sample", "sample", "verify"]))
-    material, scenario = dict(MATERIAL), dict(draw(st.sampled_from(SCENARIOS)))
+    m, omega = draw(accepted_materials_and_omegas())
+    material, scenario = material_to_dict(m), {**draw(st.sampled_from(SCENARIOS)), "omega": omega}
     target = draw(st.sampled_from(["material", "scenario", "wave"]) if command == "sample"
                   else st.just("material"))
     if target == "wave" and "wave" in scenario:
@@ -80,21 +82,21 @@ def cases(draw):
         key = draw(st.sampled_from(sorted(WAVE)))
     else:
         doc = material if target == "material" else scenario
-        key = draw(st.sampled_from(sorted(MATERIAL) if target == "material" else SCENARIO_KEYS))
+        key = draw(st.sampled_from(sorted(material) if target == "material" else SCENARIO_KEYS))
     value = draw(st.just(DELETE) | numbers | pairs | st.lists(pairs, min_size=1, max_size=3)
                  | json_values | (grids if key == "grid" else json_values))
     if value is DELETE:
         doc.pop(key, None)
     else:
         doc[key] = _cap_counts(value) if key == "grid" else value
-    return command, material, scenario
+    return command, material, scenario, omega
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy overflow must not reach the user
 @settings(max_examples=200, deadline=None)
 @given(case=cases())
 def test_any_document_exits_with_a_documented_code(tmp_path_factory, case):
-    command, material, scenario = case
+    command, material, scenario, omega = case
     tmp = tmp_path_factory.mktemp("doc")
     material_path, scenario_path, out = tmp / "m.json", tmp / "s.json", tmp / "field.csv"
     material_path.write_text(json.dumps(material))
@@ -103,7 +105,7 @@ def test_any_document_exits_with_a_documented_code(tmp_path_factory, case):
         argv = ["sample", "--material", str(material_path), "--scenario", str(scenario_path),
                 "--out", str(out)]
     else:
-        argv = ["verify", "--material", str(material_path), "--omega", "1.0"]
+        argv = ["verify", "--material", str(material_path), "--omega", repr(omega)]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv)
     assert code in (0, 2, 3, 4)

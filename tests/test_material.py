@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from qcwaves import (
     CouplingTooStrong,
@@ -20,6 +21,7 @@ from qcwaves import (
     wave_parameters,
 )
 from qcwaves.material import _determinant
+from strategies import accepted_materials, accepted_materials_and_omegas
 
 
 def rotation(d) -> np.ndarray:
@@ -29,22 +31,10 @@ def rotation(d) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def random_material(rng, span: float = 11.0, max_coupling: float = 0.999) -> QcMaterial:
-    """Valid material with log-uniform moduli and bounded coupling strength.
-
-    ``span`` is the modulus exponent range in decades; checks that evaluate
-    near-cancelling residuals in doubles should request a moderate span,
-    since their floating-point floor scales with the matrix contrast.
-    """
-    c44 = 10.0 ** rng.uniform(0.0, span)
-    k2 = 10.0 ** rng.uniform(0.0, span)
-    s = rng.uniform(0.0, max_coupling)
-    return QcMaterial(
-        c44=c44,
-        R3=s * math.sqrt(c44 * k2),
-        K2=k2,
-        rho=10.0 ** rng.uniform(0.0, 4.3),
-    )
+def scaled(m: QcMaterial, d):
+    """C and a1, a2 of d divided by the largest entry of C, so no product below overflows."""
+    scale = max(m.c44, m.R3, m.K2)
+    return m.matrix() / scale, d.a1 / scale, d.a2 / scale
 
 
 class TestValidate:
@@ -148,39 +138,42 @@ class TestDecompose:
         q = rotation(d)
         assert np.allclose(q @ q.T, np.eye(2), atol=1e-15)
 
-    def test_diagonalization(self):
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            m = random_material(rng)
-            d = decompose(m)
-            q = rotation(d)
-            diag = q.T @ m.matrix() @ q
-            scale = np.linalg.norm(m.matrix())
-            assert abs(diag[0, 0] - d.a1) <= 1e-12 * scale
-            assert abs(diag[1, 1] - d.a2) <= 1e-12 * scale
-            assert abs(diag[0, 1]) <= 1e-12 * scale
+    @settings(max_examples=200, deadline=None)
+    @given(accepted_materials())
+    def test_diagonalization(self, m):
+        d = decompose(m)
+        q = rotation(d)
+        c, a1, a2 = scaled(m, d)
+        diag = q.T @ c @ q
+        assert abs(diag[0, 0] - a1) <= 1e-12
+        assert abs(diag[1, 1] - a2) <= 1e-12
+        assert abs(diag[0, 1]) <= 1e-12
 
-    def test_reconstruction(self):
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            m = random_material(rng)
-            d = decompose(m)
-            q = rotation(d)
-            rebuilt = q @ np.diag([d.a1, d.a2]) @ q.T
-            err = np.linalg.norm(rebuilt - m.matrix()) / np.linalg.norm(m.matrix())
-            assert err < 1e-12
+    @settings(max_examples=200, deadline=None)
+    @given(accepted_materials())
+    def test_reconstruction(self, m):
+        d = decompose(m)
+        q = rotation(d)
+        c, a1, a2 = scaled(m, d)
+        assert np.linalg.norm(q @ np.diag([a1, a2]) @ q.T - c) / np.linalg.norm(c) < 1e-12
 
-    def test_trace_and_determinant(self):
-        rng = np.random.default_rng(13)
-        for _ in range(200):
-            m = random_material(rng)
-            d = decompose(m)
-            trace = m.c44 + m.K2
-            det = m.c44 * m.K2 - m.R3 * m.R3
-            assert d.a1 + d.a2 == pytest.approx(trace, rel=1e-12)
-            assert d.a1 * d.a2 == pytest.approx(det, rel=1e-12)
-            assert d.a1 >= d.a2 > 0.0
-            assert 0.0 <= d.psi <= math.pi / 2.0
+    @settings(max_examples=200, deadline=None)
+    @given(accepted_materials())
+    def test_trace_and_determinant(self, m):
+        # the determinant exactly, since c44 K2 - R3^2 cancels as the coupling nears 1
+        d = decompose(m)
+        det = Fraction(m.c44) * Fraction(m.K2) - Fraction(m.R3) ** 2
+        assert d.a1 + d.a2 == pytest.approx(m.c44 + m.K2, rel=1e-12, abs=0.0)
+        assert abs(Fraction(d.a1) * Fraction(d.a2) / det - 1) <= 1e-12
+        assert d.a1 >= d.a2 > 0.0
+        assert 0.0 <= d.psi <= math.pi / 2.0
+
+    @pytest.mark.parametrize("c44,k2", [(1e-156, 1e-156), (1e-154, 1e-156), (0.1, 0.1)])
+    def test_moduli_keep_their_digits_and_order(self, c44, k2):
+        # c44 K2 below the normal floats, and a2 = det / a1 rounding above a1 = 0.1
+        d = decompose(QcMaterial(c44=c44, R3=0.0, K2=k2, rho=1.0))
+        assert d.a1 == max(c44, k2) and d.a1 >= d.a2
+        assert d.a2 == pytest.approx(min(c44, k2), rel=4e-16, abs=0.0)
 
     @pytest.mark.parametrize("c44,k2,limit", [(3.0, 1.0, 0.0), (1.0, 3.0, math.pi / 2)])
     def test_continuity_at_weak_coupling(self, c44, k2, limit):
@@ -220,17 +213,17 @@ class TestWaveParameters:
             k_ref = Decimal(omega) * (Decimal(rho) / Decimal(a_used)).sqrt()
             assert k_prod == pytest.approx(float(k_ref), rel=1e-14)
 
-    def test_invariants(self):
-        rng = np.random.default_rng(17)
-        for _ in range(50):
-            m = random_material(rng)
-            omega = 10.0 ** rng.uniform(-2.0, 7.0)
-            d = decompose(m)
-            wp = wave_parameters(d, m.rho, omega)
-            assert wp.k1 <= wp.k2
-            assert wp.c1 >= wp.c2
-            assert wp.k1 * wp.c1 == pytest.approx(omega, rel=1e-12)
-            assert wp.k2 * wp.c2 == pytest.approx(omega, rel=1e-12)
+    @settings(max_examples=200, deadline=None)
+    @given(accepted_materials_and_omegas())
+    def test_invariants(self, case):
+        m, omega = case
+        wp = wave_parameters(decompose(m), m.rho, omega)
+        assert wp.k1 <= wp.k2
+        assert wp.c1 >= wp.c2
+        # a wavenumber or product below the normal floats is a multiple of 2**-1074: each rounds
+        # by up to half of that unit
+        for k, c in ((wp.k1, wp.c1), (wp.k2, wp.c2)):
+            assert abs(k * c - omega) <= 1e-12 * omega + (c + 1.0) * 2.0**-1074
 
     def test_nonpositive_frequency(self):
         d = decompose(QcMaterial(c44=2.0, R3=1.0, K2=2.0, rho=1.0))
@@ -244,9 +237,17 @@ class TestWaveParameters:
         with pytest.raises(NonPositiveDensity):
             wave_parameters(d, -1.0, 2.0)
 
+    @pytest.mark.parametrize("rho,a,omega", [(5e-324, 3.0, 1.0), (1e-190, 1e119, 1.0),
+                                             (1e300, 1e-10, 1e-160)])
+    def test_roots_in_range_of_ratios_out_of_it(self, rho, a, omega):
+        # rho / a or a / rho leaves the normal floats, but k and c do not
+        wp = wave_parameters(decompose(QcMaterial(c44=a, R3=0.0, K2=a, rho=rho)), rho, omega)
+        assert wp.c1 == wp.c2 == pytest.approx(math.sqrt(a) / math.sqrt(rho), rel=1e-15, abs=0.0)
+        assert wp.k1 * wp.c1 == pytest.approx(omega, rel=1e-15, abs=0.0)
+
     def test_wavenumbers_outside_float_range(self):
         d = decompose(QcMaterial(c44=2.0, R3=1.0, K2=2.0, rho=1.0))
         with pytest.raises(DomainError):
-            wave_parameters(d, 5e-324, 1.0)  # rho / a1 underflows: k1 = 0
+            wave_parameters(d, 1e-20, 5e-324)  # k1 = omega sqrt(rho / a1) underflows to 0
         with pytest.raises(DomainError):
             wave_parameters(d, 1e300, 1e300)  # k2 overflows

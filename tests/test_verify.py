@@ -249,11 +249,9 @@ class TestRepresentation:
     @settings(max_examples=150, deadline=None)
     @given(accepted_materials_and_omegas())
     def test_clean_identity_passes_over_the_band(self, case):
-        # g*'s first whole-domain accuracy test. Above k2 = 9.6e307, 2 k2 sin(phi), a product
-        # freefield_stress forms before the amplitude, can overflow (pinned below)
+        # g*'s first whole-domain accuracy test, up to the top of the float range
         m, omega = case
-        wp = wave_parameters(decompose(m), m.rho, omega)
-        assume(wp.k1 >= 1e-300 and math.isfinite(2.0 * wp.k2 * math.sin(qcwaves.verify._PHI)))
+        assume(wave_parameters(decompose(m), m.rho, omega).k1 >= 1e-300)
         with warnings.catch_warnings():  # every warning is an error, here alone
             warnings.simplefilter("error")
             residual = representation_residual(m, omega)
@@ -268,6 +266,13 @@ class TestRepresentation:
         for k in range(0, 128, 2):
             assert abs(w @ x**k - 2.0 / (k + 1)) < 1e-15
 
+    def test_gauss_legendre_rule_is_built_once(self):
+        first = qcwaves.verify._gauss_legendre(64)
+        hits = qcwaves.verify._gauss_legendre.cache_info().hits
+        second = qcwaves.verify._gauss_legendre(64)
+        assert qcwaves.verify._gauss_legendre.cache_info().hits == hits + 1
+        assert all(a is b and not a.flags.writeable for a, b in zip(first, second))
+
     def test_unreflected_wave_is_order_one(self, monkeypatch):
         # negative control: without the reflected wave the traction on x2 = 0, which the
         # half-plane contour leaves out, does not vanish
@@ -277,13 +282,14 @@ class TestRepresentation:
                             lambda *args, half_plane: stress(*args))
         assert representation_residual(M, OMEGA) > 0.1
 
-    def test_half_plane_stress_still_overflows_at_the_top_of_the_band(self):
-        # a gap that stays: at k2 = 1.5e308 freefield_stress overflows before its amplitude
-        # scales it down, so the value reads NaN and its record fails
+    def test_half_plane_stress_is_finite_at_the_top_of_the_band(self):
+        # at k2 = 1.5e308, 2 k2 sin(phi) overflows; freefield_stress forms its gradient with
+        # k2 / 2 and doubles last, so the identity reads a finite value and passes
         m = QcMaterial(c44=1.0, R3=0.0, K2=1.0, rho=1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert math.isnan(representation_residual(m, 1.5e308))
+            residual = representation_residual(m, 1.5e308)
+        assert math.isfinite(residual) and residual < qcwaves.verify.REPRESENTATION_TOLERANCE
 
 
 @pytest.mark.parametrize("check, name", [
@@ -434,6 +440,25 @@ class TestRun:
         for m, omegas, suites, error, message in cases:
             with pytest.raises(error, match=message):
                 next(qcwaves.verify.run(m, omegas, suites))
+
+    def test_suites_may_be_any_iterable_of_names(self):
+        # a dict or a generator is read once, as the names it yields
+        records = list(qcwaves.verify.run(M, [OMEGA], tuple(qcwaves.verify.SUITES)))
+        assert list(qcwaves.verify.run(M, [OMEGA], qcwaves.verify.SUITES)) == records
+        assert list(qcwaves.verify.run(M, [OMEGA], (n for n in qcwaves.verify.SUITES))) == records
+        for suites, message in (((n for n in ()), "empty suite list"),
+                                ((n for n in ["dirac-flux"] * 2), "'dirac-flux' is repeated"),
+                                ([["dirac-flux"]], "unknown suite")):
+            with pytest.raises(ValidationError, match=message):
+                next(qcwaves.verify.run(M, [OMEGA], suites))
+
+    def test_records_do_not_depend_on_the_order_of_suites(self, monkeypatch):
+        # each stream is keyed by the suite's name, not by its place in SUITES
+        names = tuple(qcwaves.verify.SUITES)
+        records = repr(list(qcwaves.verify.run(M, [OMEGA, 2 * OMEGA], names, seed=5)))
+        monkeypatch.setattr(qcwaves.verify, "SUITES",
+                            dict(reversed(qcwaves.verify.SUITES.items())))
+        assert repr(list(qcwaves.verify.run(M, [OMEGA, 2 * OMEGA], names, seed=5))) == records
 
     def test_all_passed_is_no_failed_record(self):
         records = list(qcwaves.verify.run(M, [OMEGA, 2 * OMEGA], ["dirac-flux"], seed=3))
