@@ -59,8 +59,8 @@ from .specfun import (
 from .verify import (
     DEFAULT_SEED,
     dirac_flux,
+    identity_residuals,
     pde_residual,
-    representation_residual,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

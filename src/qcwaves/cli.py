@@ -7,9 +7,9 @@ Subcommands:
 * ``qcwaves sample --material m.json --scenario s.json --out field.csv``
   samples a solution family on a grid or point list and writes CSV plus a
   JSON metadata sidecar (``<out>.meta.json`` unless ``--no-sidecar``).
-* ``qcwaves verify --material m.json [--omega LIST] [--suite NAMES]
-  [--seed N] [--report r.json]`` runs the verification suites and writes a
-  JSON report.
+* ``qcwaves verify --material m.json [--omega LIST] [--suite NAMES] [--seed N]
+  [--report r.json]`` runs the ``dirac-flux`` record per frequency and writes a JSON
+  report; the seed changes no record and stays while benchmark command lines pass it.
 
 Exit codes: 0 success, 2 validation/parse error or an output file that
 cannot be written, 3 evaluation error or running out of memory, 4
@@ -134,9 +134,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", default="1.0",
                    help="comma-separated angular frequencies (default: 1.0)")
     p.add_argument("--suite", default=",".join(SUITES),
-                   help=f"comma-separated suite names (default: all of {tuple(SUITES)})")
+                   help=f"comma-separated suite names (default: {','.join(SUITES)})")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                   help="random seed recorded in the report")
+                   help="recorded in the report; no check draws from it")
     p.add_argument("--report", help="write the JSON report to this path")
     p.set_defaults(func=cmd_verify)
     return parser

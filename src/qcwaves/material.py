@@ -124,6 +124,19 @@ def _determinant(m: QcMaterial) -> float:
     return (p - q) + (p_err - (((r1 * r1 - q) + 2.0 * r1 * r2) + r2 * r2))
 
 
+def _scaled_determinant(m: QcMaterial) -> tuple[float, int]:
+    """(det, e), c44*K2 - R3^2 = det * 4**e: a |det| below the normal floats (c44 = K2 = 1e-170)
+    formed again in units of 2**e, 4**e near c44 K2, so it keeps its digits and sign; else e = 0,
+    since a normal or infinite det (c44 = K2 = 1e-5, R3 = 1e305) already has its sign."""
+    det, e = _determinant(m), 0
+    if abs(det) < _NORMAL_MIN:  # again in units of 2**e, the larger modulus below 2**995
+        e_c, e_k = math.frexp(m.c44)[1], math.frexp(m.K2)[1]
+        e = max((e_c + e_k) // 2, max(e_c, e_k) - 990)
+        det = _determinant(QcMaterial(c44=math.ldexp(m.c44, -e), R3=math.ldexp(m.R3, -e),
+                                      K2=math.ldexp(m.K2, -e), rho=m.rho))
+    return det, e
+
+
 def validate(m: QcMaterial) -> None:
     """Check the well-posedness conditions; raise a specific error if violated.
 
@@ -136,10 +149,10 @@ def validate(m: QcMaterial) -> None:
         )
     if not (0.0 < m.rho < math.inf):
         raise NonPositiveDensity(f"need finite rho > 0; got rho={m.rho}")
-    det = _determinant(m)
+    det, e = _scaled_determinant(m)
     if not (det > 0.0):
         raise CouplingTooStrong(
-            f"need c44*K2 - R3^2 > 0; got {det} (coupling too strong)"
+            f"need c44*K2 - R3^2 > 0; got {math.ldexp(det, 2 * e)} (coupling too strong)"
         )
     if det == math.inf:
         raise InvalidMaterial(f"c44*K2 - R3^2 overflows; got c44={m.c44}, K2={m.K2}")
@@ -150,29 +163,24 @@ def decompose(m: QcMaterial) -> SpectralDecomposition:
 
     Returns a1 >= a2 > 0 and the rotation angle psi in [0, pi/2].
 
-    a1 takes the + branch of the quadratic formula; a2 is computed as
-    det(C)/a1 to stay accurate for nearly singular C. A determinant below the
-    normal floats (c44 = K2 = 1e-156) is formed again in units of 2**e, 2**(2 e)
-    near c44 K2, so it keeps its digits; a power of two scales every normal
-    float exactly. a2 rounds to at most a1. At R3 = 0 the eigenvector formula
-    degenerates (0/0) and psi is assigned its continuity limit: 0 for
-    c44 >= K2, pi/2 for c44 < K2.
+    a1 takes the + branch of the quadratic formula; a2 is computed as det(C)/a1 to stay
+    accurate for nearly singular C, with det(C) from _scaled_determinant, which validate reads
+    too. a2 rounds to at most a1, and an a2 below the normal floats raises InvalidMaterial. At
+    R3 = 0 the eigenvector formula degenerates (0/0) and psi is assigned its continuity limit:
+    0 for c44 >= K2, pi/2 for c44 < K2.
     """
     global _last_decomposition
     if (memo := _last_decomposition)[0] is m:
         return memo[1]
     validate(m)
     trace = m.c44 + m.K2
-    det, e = _determinant(m), 0
-    if det < _NORMAL_MIN:  # again in units of 2**e, the larger modulus below 2**995
-        e_c, e_k = math.frexp(m.c44)[1], math.frexp(m.K2)[1]
-        e = max((e_c + e_k) // 2, max(e_c, e_k) - 990)
-        det = _determinant(QcMaterial(c44=math.ldexp(m.c44, -e), R3=math.ldexp(m.R3, -e),
-                                      K2=math.ldexp(m.K2, -e), rho=m.rho))
+    det, e = _scaled_determinant(m)
     # sum-of-squares form of the discriminant: no cancellation
     disc = math.hypot(m.c44 - m.K2, 2.0 * m.R3)
     a1 = 0.5 * trace + 0.5 * disc  # = 0.5 * (trace + disc), which can overflow
     a2 = min(math.ldexp(det / math.ldexp(a1, -e), e), a1)
+    if not a2 >= _NORMAL_MIN:  # a modulus with fewer than 53 bits
+        raise InvalidMaterial(f"need a2 = det(C) / a1 to be a normal float; got a2 = {a2:g}")
     if m.R3 == 0.0:
         psi = 0.0 if m.c44 >= m.K2 else 0.5 * math.pi
     else:
@@ -199,7 +207,7 @@ def _sqrt_ratio(x: float, y: float) -> float:
 
 
 def wave_parameters(d: SpectralDecomposition, rho: float, omega: float) -> WaveParameters:
-    """Wavenumbers k_i = omega*sqrt(rho/a_i) and speeds c_i = sqrt(a_i/rho)."""
+    """Wavenumbers k_i = omega*sqrt(rho/a_i), normal floats, and speeds c_i = sqrt(a_i/rho)."""
     global _last_waves
     if (memo := _last_waves)[0] is d and memo[1] is rho and memo[2] is omega:
         return memo[3]
@@ -209,7 +217,9 @@ def wave_parameters(d: SpectralDecomposition, rho: float, omega: float) -> WaveP
         raise NonPositiveDensity(f"need rho > 0; got {rho}")
     k1 = omega * _sqrt_ratio(rho, d.a1)
     k2 = omega * _sqrt_ratio(rho, d.a2)
-    if not (0.0 < k1 and k2 < math.inf):  # k1 <= k2
+    if not k1 >= _NORMAL_MIN:  # k1 <= k2: a wavenumber with fewer than 53 bits, or none
+        raise ValidationError(f"omega {omega} gives k1 = {k1:g}, below the normal floats")
+    if not k2 < math.inf:
         raise DomainError(f"wavenumbers k1 = {k1:g}, k2 = {k2:g} leave the float range")
     c1 = _sqrt_ratio(d.a1, rho)
     c2 = _sqrt_ratio(d.a2, rho)

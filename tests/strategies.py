@@ -19,6 +19,7 @@ LOG_C44 = (-290.0, 290.0)
 LOG_CONTRAST = (-10.0, 10.0)  # log10 K2 / c44
 LOG_GAP = (-12.0, 0.0)  # log10 (1 - coupling) of the couplings near 1
 LOG_RHO = (-300.0, 300.0)
+LOG_K_MIN = math.log10(2.0**-1022)  # the smallest wavenumber wave_parameters accepts
 
 
 def material(log_c44: float, log_contrast: float, coupling: float, log_rho: float) -> QcMaterial:
@@ -30,7 +31,8 @@ def material(log_c44: float, log_contrast: float, coupling: float, log_rho: floa
 
 
 def accepted(m: QcMaterial) -> bool:
-    """Whether validate accepts m; c44 K2 - R3^2 may round to <= 0 or overflow."""
+    """Whether decompose accepts m: c44 K2 - R3^2 may round to <= 0 near a coupling of 1 or
+    overflow, and a2 may fall below the normal floats."""
     try:
         decompose(m)
     except ValidationError:
@@ -68,11 +70,11 @@ def omega_at(m: QcMaterial, k2: float) -> float:
 @st.composite
 def accepted_materials_and_omegas(draw) -> tuple[QcMaterial, float]:
     """A material of accepted_materials and an omega that wave_table accepts for it,
-    log-uniform over the whole range where k1 > 0 and k2 < inf."""
+    log-uniform over the whole range where k1 is a normal float and k2 < inf."""
     m = draw(accepted_materials())
     d = decompose(m)
     lr = math.log10(m.rho)
-    lo = max(-323.0, -323.0 - 0.5 * (lr - math.log10(d.a1)))  # k1 = 1e-323
+    lo = max(-323.0, LOG_K_MIN - 0.5 * (lr - math.log10(d.a1)))  # k1 = 2.2e-308
     hi = min(308.25, 308.25 - 0.5 * (lr - math.log10(d.a2)))  # k2 = 1.8e308
     omega = 10.0 ** (lo + (hi - lo) * draw(st.floats(0.0, 1.0)))
     try:

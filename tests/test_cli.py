@@ -206,6 +206,18 @@ class TestSample:
         assert len(rows) == 2 and all(math.isfinite(v) for row in rows for v in row)
         assert 1e7 < max(abs(v) for row in rows for v in row[6:]) < 1e9
 
+    def test_subnormal_wavenumber_is_validation_error(self, tmp_path, capsys):
+        # k1 = 3.16e-322 sqrt(1e-3) = 1e-323 has one significant bit: no command evaluates it
+        material = tmp_path / "m.json"
+        material.write_text(json.dumps({"schema_version": 1, "c44": 1.0, "R3": 0.0, "K2": 1.0,
+                                        "rho": 1e-3}))
+        out = tmp_path / "f.csv"
+        assert cli.main(["sample", "--material", str(material), "--scenario", write_scenario(
+            tmp_path, {**fundamental_scenario(3, 3), "omega": 3.16e-322}), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("error: omega 3.16e-322 gives k1 = 9.88131e-324, "
+                                           "below the normal floats\n")
+        assert not out.exists()
+
     def test_malformed_scenario_is_parse_error(self, tmp_path, material_file):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -223,6 +235,14 @@ class TestDecompose:
         out = capsys.readouterr().out
         assert "a1 = 3" in out and "a2 = 1" in out
         assert "45 deg" in out
+
+    def test_validate_accepts_a_determinant_below_the_normal_floats(self, tmp_path, capsys):
+        # c44 K2 - R3^2 = 1e-340 underflows to 0 unscaled; its sign is read in units of 4**e
+        material = tmp_path / "m.json"
+        material.write_text(json.dumps({"schema_version": 1, "c44": 1e-170, "R3": 0.0,
+                                        "K2": 1e-170, "rho": 1.0}))
+        assert cli.main(["decompose", "--material", str(material), "--omega", "1e-160"]) == 0
+        assert "a2 = 1e-170 Pa" in capsys.readouterr().out
 
     def test_decoupled_material_notes_continuity_rule(self, tmp_path, capsys):
         path = tmp_path / "m.json"
@@ -297,7 +317,7 @@ class TestVerify:
                          "--suite", "nonsense"]) == 2
 
     def test_failed_check_exits_four(self, material_file, monkeypatch):
-        def failing(m, omega, rng):
+        def failing(m, omega):
             return {"name": "dirac-flux", "status": "fail"}
 
         monkeypatch.setitem(verify.SUITES, "dirac-flux", failing)
@@ -328,16 +348,20 @@ class TestVerify:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("omega, suites", [
-        ("1e-310", ",".join(verify.SUITES)),  # the slow wavelength overflows: h = inf
-        ("1e-313", "dirac-flux"),  # the representation contours' radius overflows
+        ("1e-310", ",".join(verify.SUITES)),  # k1 is not a normal float: no command takes it
+        ("1e-313", "dirac-flux"),
+        ("1e-301", "dirac-flux"),  # the widest circle, 40 / k1, is 4.5e6 times inside the range
     ])
     def test_omega_below_the_band_is_one_error_line(self, material_file, capsys, omega, suites):
         assert cli.main(["verify", "--material", material_file, "--omega", f"1.0,{omega}",
                          "--suite", suites]) == 2
         out, err = capsys.readouterr()
         assert out == ""  # before any record
-        assert err.splitlines() == [f"error: --omega {omega} is below the verify band: "
-                                    f"k1 = {float(omega) / 3**0.5:g} must be at least 1e-300"]
+        k1 = f"{float(omega) / 3**0.5:g}"
+        assert err.splitlines() == [
+            f"error: omega {omega} gives k1 = {k1}, below the normal floats"
+            if float(k1) < 2.0**-1022 else
+            f"error: --omega {omega} is below the verify band: k1 = {k1} must be at least 1e-300"]
 
     def test_negative_seed_is_validation_error(self, material_file, capsys):
         assert cli.main(["verify", "--material", material_file, "--seed", "-1"]) == 2
@@ -349,23 +373,23 @@ class TestVerify:
 
     def test_seed_recorded_and_deterministic(self, material_file, tmp_path):
         paths = [str(tmp_path / f"r{i}.json") for i in range(2)]
-        for p in paths:
+        for i, p in enumerate(paths):
             cli.main(["verify", "--material", material_file, "--suite",
-                      "pde-residual,dirac-flux", "--seed", "123", "--report", p])
+                      "dirac-flux", "--seed", str(123 + i), "--report", p])
         a, b = (json.load(open(p)) for p in paths)
-        assert a == b
-        assert a["seed"] == 123
+        assert (a["seed"], b["seed"]) == (123, 124)  # recorded, and inert: no check draws from it
+        assert {**a, "seed": None} == {**b, "seed": None}
 
     def test_repeated_suite_is_rejected(self, material_file, tmp_path, capsys):
         report = tmp_path / "report.json"
         assert cli.main(["verify", "--material", material_file, "--suite",
-                         "pde-residual,dirac-flux,pde-residual", "--report", str(report)]) == 2
-        assert capsys.readouterr() == ("", "error: suite 'pde-residual' is repeated\n")
+                         "dirac-flux,dirac-flux", "--report", str(report)]) == 2
+        assert capsys.readouterr() == ("", "error: suite 'dirac-flux' is repeated\n")
         assert not report.exists()
 
     def test_unknown_suite_is_named_before_a_bad_seed(self, material_file, capsys):
         assert cli.main(["verify", "--material", material_file, "--suite",
-                         "pde-residual,nonsense", "--seed", "-1"]) == 2
+                         "dirac-flux,nonsense", "--seed", "-1"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err == (f"error: unknown suite 'nonsense'; choose from "
                                      f"{tuple(verify.SUITES)}\n")
@@ -900,6 +924,18 @@ class TestInputBoundary:
         else:
             assert out.is_symlink() == (where == "dangling-symlink") and not out.exists()
         assert not target.exists() and not (tmp_path / "out.meta.json").exists()
+
+    @pytest.mark.parametrize("command", ["decompose", "sample", "verify"])
+    @pytest.mark.parametrize("c44, r3", [(1e-5, 1e305), (1e150, 1e155)])
+    def test_overflowing_coupling_exits_two(self, tmp_path, capsys, command, c44, r3):
+        # c44 K2 - R3^2 = -inf is CouplingTooStrong, not a traceback
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**MATERIAL, "c44": c44, "R3": r3, "K2": c44}))
+        args = {"decompose": ["--omega", "1.0"], "verify": [], "sample": [
+            "--scenario", write_scenario(tmp_path, fundamental_scenario(3, 3)),
+            "--out", str(tmp_path / "f.csv")]}[command]
+        assert cli.main([command, "--material", str(bad), *args]) == 2
+        assert "got -inf (coupling too strong)" in capsys.readouterr().err
 
     def test_overflowing_phase_names_its_point(self, tmp_path, material_file, capsys):
         # k * t leaves the float range at the third point only

@@ -16,6 +16,7 @@ from qcwaves import (
     NonPositiveFrequency,
     NonPositiveModulus,
     QcMaterial,
+    ValidationError,
     decompose,
     validate,
     wave_parameters,
@@ -96,6 +97,30 @@ class TestValidate:
     def test_degenerate_determinant_rejected(self):
         with pytest.raises(CouplingTooStrong):
             validate(QcMaterial(c44=2.0, R3=2.0, K2=2.0, rho=1.0))
+
+    def test_determinant_below_the_normal_floats_accepted(self):
+        # c44 K2 = 1e-340 underflows to 0; the sign comes from the determinant in units of
+        # 4**e, the one decompose reads too
+        m = QcMaterial(c44=1e-170, R3=0.0, K2=1e-170, rho=1.0)
+        validate(m)
+        d = decompose(m)
+        assert (d.a1, d.a2) == (1e-170, 1e-170)
+        with pytest.raises(CouplingTooStrong, match="got -"):  # the sign survives the scaling
+            validate(QcMaterial(c44=1e-170, R3=1.5e-170, K2=1e-170, rho=1.0))
+
+    @pytest.mark.parametrize("c44, r3", [(1e-5, 1e305), (1e150, 1e155)])
+    def test_overflowing_coupling_rejected(self, c44, r3):
+        # R3^2 overflows, so c44 K2 - R3^2 = -inf: its sign is decided, and no rescaling of it
+        # leaves the float range
+        with pytest.raises(CouplingTooStrong, match="got -inf"):
+            validate(QcMaterial(c44=c44, R3=r3, K2=c44, rho=1.0))
+
+    def test_a2_below_the_normal_floats_rejected(self):
+        # det C = 2e-602 is accepted, but a2 = det C / a1 = 2e-312 has fewer than 53 bits
+        m = QcMaterial(c44=1e-290, R3=(1.0 - 1e-12) * 1e-295, K2=1e-300, rho=1.0)
+        validate(m)
+        with pytest.raises(InvalidMaterial, match="need a2 = det\\(C\\) / a1 to be a normal float"):
+            decompose(m)
 
 
 class TestDecompose:
@@ -247,7 +272,9 @@ class TestWaveParameters:
 
     def test_wavenumbers_outside_float_range(self):
         d = decompose(QcMaterial(c44=2.0, R3=1.0, K2=2.0, rho=1.0))
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError, match="omega 5e-324 gives k1 = 0, below the normal"):
             wave_parameters(d, 1e-20, 5e-324)  # k1 = omega sqrt(rho / a1) underflows to 0
+        with pytest.raises(ValidationError, match="omega 3.16e-322 gives k1 = 9.88131e-324, "):
+            wave_parameters(decompose(QcMaterial(1.0, 0.0, 1.0, 1e-3)), 1e-3, 3.16e-322)
         with pytest.raises(DomainError):
             wave_parameters(d, 1e300, 1e300)  # k2 overflows

@@ -1,10 +1,11 @@
-"""The verification harness itself: residuals, flux, the representation identity."""
+"""The verification harness itself: residuals, flux, the representation and power identities."""
 
 import json
 import math
 import re
 import runpy
 import warnings
+from bisect import bisect_left
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 
 import qcwaves.cli
+import qcwaves.specfun
 import qcwaves.verify
 from qcwaves import (
     CouplingTooStrong,
@@ -28,12 +30,13 @@ from qcwaves import (
     fullplane_incident,
     fundamental_displacement,
     fundamental_stress,
+    identity_residuals,
     mode_vector,
     pde_residual,
-    representation_residual,
     wave_parameters,
 )
 from qcwaves.scenario import load_material
+from oracles import KERNEL_PDE_BOUND, WAVE_PDE_BOUND, helmholtz_residuals
 from strategies import accepted_materials_and_omegas
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -98,7 +101,13 @@ def test_norm_of_subnormal_complex_input():
 
 
 class TestPdeResidualSuite:
-    """Each pde-residual probe checks one mode's Helmholtz equation on that mode's own step."""
+    """Each mode's Helmholtz equation on v* and on the plane waves, by finite differences
+    (oracles.helmholtz_residuals): the kernels' check independent of every identity."""
+
+    @staticmethod
+    def check(m, omega, seed):
+        kernel, wave = helmholtz_residuals(m, omega, np.random.default_rng(seed))
+        assert kernel < 0.5 * KERNEL_PDE_BOUND and wave < 0.5 * WAVE_PDE_BOUND, (kernel, wave)
 
     @settings(max_examples=150, deadline=None)
     @given(accepted_materials_and_omegas())
@@ -109,14 +118,11 @@ class TestPdeResidualSuite:
         assume(wave_parameters(decompose(m), m.rho, omega).k1 >= 1e-300)
         with warnings.catch_warnings():  # every warning is an error, here alone
             warnings.simplefilter("error")
-            record = qcwaves.verify.SUITES["pde-residual"](m, omega, np.random.default_rng(0))
-        assert record["margin"] < 0.5, record
+            self.check(m, omega, 0)
 
     @pytest.mark.parametrize("contrast", [1e5, 1e8, 1e-8])
     def test_passes_at_high_contrast(self, contrast):
-        m = QcMaterial(c44=1.0, R3=0.0, K2=contrast, rho=1.0)
-        [record] = qcwaves.verify.run(m, [1.0], ["pde-residual"])
-        assert record["status"] == "pass", record
+        self.check(QcMaterial(c44=1.0, R3=0.0, K2=contrast, rho=1.0), 1.0, 0)
 
     @pytest.mark.parametrize("gap", [1e-6, 1e-12])
     def test_passes_at_a_coupling_near_one(self, gap):
@@ -124,8 +130,45 @@ class TestPdeResidualSuite:
         # fast mode's round-off is not amplified by a1 / a2
         m = QcMaterial(c44=1.0, R3=1.0 - gap, K2=1.0, rho=1.0)
         for seed in range(20):
-            record = qcwaves.verify.SUITES["pde-residual"](m, 1.0, np.random.default_rng(seed))
-            assert record["margin"] < 0.5, record
+            self.check(m, 1.0, seed)
+
+
+class TestRadiation:
+    """The radiated-power identity of each dirac-flux record, beside its other two values."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(accepted_materials_and_omegas())
+    @example((QcMaterial(c44=1e-170, R3=0.0, K2=1e-170, rho=1.0), 1.0))  # det C underflows
+    @example((QcMaterial(c44=1.0, R3=1.0 - 1e-12, K2=1.0, rho=1.0), 1.0))  # a1 / a2 = 2e12
+    def test_passes_over_the_band(self, case):
+        # the clean record, up to k2 = 4.5e301, where the flux radius 1e-6 / k2 is still normal
+        m, omega = case
+        wp = wave_parameters(decompose(m), m.rho, omega)
+        assume(wp.k1 >= 1e-300 and wp.k2 <= 4.5e301)
+        with warnings.catch_warnings():  # every warning is an error, here alone
+            warnings.simplefilter("error")
+            record = qcwaves.verify.SUITES["dirac-flux"](m, omega)
+        assert record["status"] == "pass", record
+        assert record["radiation_residual"] < qcwaves.verify.RADIATION_TOLERANCE / 10.0, record
+
+    @pytest.mark.parametrize("contrast", [1e5, 1e8, 1e-8])
+    def test_passes_at_high_contrast(self, contrast):
+        m = QcMaterial(c44=1.0, R3=0.0, K2=contrast, rho=1.0)
+        [record] = qcwaves.verify.run(m, [1.0])
+        assert record["status"] == "pass", record
+
+    @pytest.mark.parametrize("gap", [1e-6, 1e-12])
+    def test_passes_at_a_coupling_near_one(self, gap):
+        # a1 / a2 = 2e6 and 2e12: C^-1 / 4 holds 1 / (4 a2) and 1 / (4 a1) alike
+        m = QcMaterial(c44=1.0, R3=1.0 - gap, K2=1.0, rho=1.0)
+        for record in qcwaves.verify.run(m, np.geomspace(1e-3, 1e3, 7).tolist()):
+            assert record["status"] == "pass", record
+
+    def test_one_circle_per_table_piece(self):
+        # the circles' k r reach each piece of the cylinder functions' tables, x <= 4, (4, 8],
+        # (8, 16] and (16, inf), for each mode's own wavenumber
+        edges = (qcwaves.specfun._XCUT, *qcwaves.specfun._EDGES)
+        assert [bisect_left(edges, kr) for kr in qcwaves.verify._RADII] == [0, 1, 2, 3]
 
 
 @pytest.mark.parametrize("call, message", [
@@ -188,18 +231,19 @@ class TestDiracFlux:
         m, omega = case
         wp = wave_parameters(decompose(m), m.rho, omega)
         assume(wp.k1 >= 1e-300 and wp.k2 <= 4.5e301)  # the band, up to the flux's bound
-        record = qcwaves.verify.SUITES["dirac-flux"](m, omega, np.random.default_rng(0))
+        record = qcwaves.verify.SUITES["dirac-flux"](m, omega)
         assert record["status"] == "pass"
         assert record["deviation"] < qcwaves.verify.DIRAC_FLUX_TOLERANCE / 10.0
 
 
 def test_run_evaluates_each_kernel_once_per_point(monkeypatch):
-    # per (material, omega): pde-residual's 8 stencils of 5 points and the full-plane
-    # contour's 32 nodes (72 v*), the flux's one traction and the contour's 32 (33 t*), and
-    # the half-plane contour's 64 nodes of g* and its traction
+    # per (material, omega): one v* and one t* per full-plane circle, 4 radii for each mode
+    # (8 v*, and 9 t* with the flux's one), the half-plane arc's 64 nodes of g* and its
+    # traction, and per mode one call of each free field for all its circles and one for the arc
     counts = {}
     for name in ("fundamental_displacement", "fundamental_traction", "green_displacement",
-                 "green_traction"):
+                 "green_traction", "freefield_stress", "fullplane_incident",
+                 "halfplane_freefield"):
         def counted(*args, name=name, kernel=getattr(qcwaves.verify, name), **kwargs):
             counts[name] = counts.get(name, 0) + 1
             return kernel(*args, **kwargs)
@@ -207,8 +251,9 @@ def test_run_evaluates_each_kernel_once_per_point(monkeypatch):
         monkeypatch.setattr(qcwaves.verify, name, counted)
     demo = load_material(ROOT / "demos" / "material.json")
     assert qcwaves.verify.all_passed(qcwaves.verify.run(demo, [1e4]))
-    assert counts == {"fundamental_displacement": 72, "fundamental_traction": 33,
-                      "green_displacement": 64, "green_traction": 64}
+    assert counts == {"fundamental_displacement": 8, "fundamental_traction": 9,
+                      "green_displacement": 64, "green_traction": 64, "freefield_stress": 4,
+                      "fullplane_incident": 2, "halfplane_freefield": 2}
 
 
 class TestBand:
@@ -226,7 +271,7 @@ class TestBand:
             assert wave_parameters(decompose(m), m.rho, omega).k1 < 1e-300
             return
         assert [r["name"] for r in records] == list(qcwaves.verify.SUITES)
-        # every suite passes up to k2 = 4.5e301, where the flux radius 1e-6 / k2 is still normal
+        # every record passes up to k2 = 4.5e301, where the flux radius 1e-6 / k2 is still normal
         if wave_parameters(decompose(m), m.rho, omega).k2 <= 4.5e301:
             assert qcwaves.verify.all_passed(records), records
             assert records[0]["margin"] < 0.5, records
@@ -244,18 +289,19 @@ class TestBand:
 
 
 class TestRepresentation:
-    """representation_residual: the identity BEM discretizes, for v* and for g*."""
+    """The representation identity that BEM discretizes, for v* and for g*."""
 
     @settings(max_examples=150, deadline=None)
     @given(accepted_materials_and_omegas())
     def test_clean_identity_passes_over_the_band(self, case):
-        # g*'s first whole-domain accuracy test, up to the top of the float range
+        # v*'s circles and g*'s arc, up to the top of the float range
         m, omega = case
         assume(wave_parameters(decompose(m), m.rho, omega).k1 >= 1e-300)
         with warnings.catch_warnings():  # every warning is an error, here alone
             warnings.simplefilter("error")
-            residual = representation_residual(m, omega)
-        assert residual < qcwaves.verify.REPRESENTATION_TOLERANCE
+            representation, radiation = identity_residuals(m, omega)
+        assert representation < qcwaves.verify.REPRESENTATION_TOLERANCE
+        assert radiation < qcwaves.verify.RADIATION_TOLERANCE
 
     def test_gauss_legendre_rule_is_exact_to_degree_127(self):
         x, w = qcwaves.verify._gauss_legendre(qcwaves.verify._HALF_NODES)
@@ -280,16 +326,17 @@ class TestRepresentation:
         stress = qcwaves.verify.freefield_stress
         monkeypatch.setattr(qcwaves.verify, "freefield_stress",
                             lambda *args, half_plane: stress(*args))
-        assert representation_residual(M, OMEGA) > 0.1
+        assert identity_residuals(M, OMEGA)[0] > 0.1
 
     def test_half_plane_stress_is_finite_at_the_top_of_the_band(self):
         # at k2 = 1.5e308, 2 k2 sin(phi) overflows; freefield_stress forms its gradient with
-        # k2 / 2 and doubles last, so the identity reads a finite value and passes
+        # k2 / 2 and doubles last, so the identities read finite values and pass
         m = QcMaterial(c44=1.0, R3=0.0, K2=1.0, rho=1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            residual = representation_residual(m, 1.5e308)
-        assert math.isfinite(residual) and residual < qcwaves.verify.REPRESENTATION_TOLERANCE
+            representation, radiation = identity_residuals(m, 1.5e308)
+        assert representation < qcwaves.verify.REPRESENTATION_TOLERANCE
+        assert radiation < qcwaves.verify.RADIATION_TOLERANCE
 
 
 @pytest.mark.parametrize("check, name", [
@@ -315,7 +362,7 @@ def test_reports_serialize_to_plain_dicts():
         M, OMEGA, (1.0, 0.5), "S1",
     )
     assert type(residual) is float
-    assert type(representation_residual(M, OMEGA)) is float
+    assert [type(value) for value in identity_residuals(M, OMEGA)] == [float, float]
     records = list(qcwaves.verify.run(M_DECOUPLED, [OMEGA]))
     assert json.loads(json.dumps(records)) == records
 
@@ -323,10 +370,9 @@ def test_reports_serialize_to_plain_dicts():
 # The exact keys of each suite's record. A change to a record is a change to
 # the report format, which benchmarks/oracle.py and demos/verification_tour.py read.
 RECORD_KEYS = {
-    "pde-residual": {"max_kernel_residual", "kernel_tolerance",
-                     "max_wave_residual", "wave_tolerance", "margin"},
     "dirac-flux": {"deviation", "tolerance", "representation_residual",
-                   "representation_tolerance", "margin"},
+                   "representation_tolerance", "radiation_residual", "radiation_tolerance",
+                   "margin"},
 }
 
 
@@ -401,14 +447,14 @@ class TestNanResult:
 
     @pytest.mark.parametrize("suite", sorted(qcwaves.verify.SUITES))
     def test_every_suite_fails(self, nan_kernels, suite):
-        report = qcwaves.verify.SUITES[suite](M_DECOUPLED, OMEGA, np.random.default_rng(3))
+        report = qcwaves.verify.SUITES[suite](M_DECOUPLED, OMEGA)
         assert report["status"] == "fail"
 
     def test_checks_report_nan(self, nan_kernels):
         assert math.isnan(pde_residual(
             lambda p: qcwaves.verify.fundamental_displacement(M, p, (0.0, 0.0), OMEGA)[:, 0],
             M, OMEGA, (1.0, 0.5), "S1"))
-        assert math.isnan(representation_residual(M, OMEGA))
+        assert all(math.isnan(value) for value in identity_residuals(M, OMEGA))
 
     def test_verify_exits_four(self, nan_kernels, tmp_path):
         path = tmp_path / "m.json"
@@ -426,14 +472,16 @@ class TestRun:
                                 lambda *args: pytest.fail("a suite ran"))
         coupled = QcMaterial(c44=1.0, R3=2.0, K2=1.0, rho=1.0)
         cases = [  # (material, omegas, suites, error, message)
-            (M, [OMEGA], ["pde-residual", "nonsense"], ValidationError, "unknown suite 'nonsense'"),
-            (coupled, [OMEGA], ["pde-residual"], CouplingTooStrong, "coupling too strong"),
-            (M, [], ["pde-residual"], ValidationError, "empty omega list"),
-            (M, [0.0], ["pde-residual"], NonPositiveFrequency, "omega > 0"),
-            (M, [math.nan], ["pde-residual"], NonPositiveFrequency, "omega > 0"),
-            (M, [1.0, 1.0], ["pde-residual"], ValidationError, "omega 1.0 is repeated"),
-            (M, [OMEGA, 1.75e308], ["pde-residual"], DomainError, "leave the float range"),
-            (M, [OMEGA, 1e-301], ["pde-residual"], ValidationError,
+            (M, [OMEGA], ["dirac-flux", "nonsense"], ValidationError, "unknown suite 'nonsense'"),
+            (coupled, [OMEGA], ["dirac-flux"], CouplingTooStrong, "coupling too strong"),
+            (M, [], ["dirac-flux"], ValidationError, "empty omega list"),
+            (M, [0.0], ["dirac-flux"], NonPositiveFrequency, "omega > 0"),
+            (M, [math.nan], ["dirac-flux"], NonPositiveFrequency, "omega > 0"),
+            (M, [1.0, 1.0], ["dirac-flux"], ValidationError, "omega 1.0 is repeated"),
+            (M, [OMEGA, 1.75e308], ["dirac-flux"], DomainError, "leave the float range"),
+            (M, [OMEGA, 3e-308], ["dirac-flux"], ValidationError,
+             r"omega 3e-308 gives k1 = 1\.\d+e-308, below the normal floats"),
+            (M, [OMEGA, 1e-301], ["dirac-flux"], ValidationError,
              r"--omega 1e-301 is below the verify band: k1 = 6\.\d+e-302 must be at least 1e-300"),
             (M, [OMEGA], [], ValidationError, "empty suite list"),
         ]
@@ -453,9 +501,10 @@ class TestRun:
                 next(qcwaves.verify.run(M, [OMEGA], suites))
 
     def test_records_do_not_depend_on_the_order_of_suites(self, monkeypatch):
-        # each stream is keyed by the suite's name, not by its place in SUITES
+        # nor on the seed: no check draws random numbers, so the seed only reaches the report
         names = tuple(qcwaves.verify.SUITES)
         records = repr(list(qcwaves.verify.run(M, [OMEGA, 2 * OMEGA], names, seed=5)))
+        assert repr(list(qcwaves.verify.run(M, [OMEGA, 2 * OMEGA], names, seed=0))) == records
         monkeypatch.setattr(qcwaves.verify, "SUITES",
                             dict(reversed(qcwaves.verify.SUITES.items())))
         assert repr(list(qcwaves.verify.run(M, [OMEGA, 2 * OMEGA], names, seed=5))) == records
@@ -469,7 +518,7 @@ class TestRun:
 
 
 def test_tolerances_are_the_named_constants():
-    rng = np.random.default_rng(0)
-    record = qcwaves.verify.SUITES["dirac-flux"](M, OMEGA, rng)
+    record = qcwaves.verify.SUITES["dirac-flux"](M, OMEGA)
     assert record["tolerance"] == qcwaves.verify.DIRAC_FLUX_TOLERANCE
     assert record["representation_tolerance"] == qcwaves.verify.REPRESENTATION_TOLERANCE
+    assert record["radiation_tolerance"] == qcwaves.verify.RADIATION_TOLERANCE

@@ -16,11 +16,13 @@ with its ``src/`` on PYTHONPATH, on inputs written to a temporary directory:
 * ``verify`` on the demo material at 1e4 and 1e6 rad/s;
 * ``verify`` on an R3 = 0 copy of the demo material at the same frequencies;
 * ``verify`` on an R3 = 0 material of contrast K2/c44 = 1e-8 (c44 = 4.2e10,
-  K2 = 420, rho = 4186) at the same frequencies, which shows ``pde-residual``
-  at high contrast;
+  K2 = 420, rho = 4186) at the same frequencies, whose two modes' circles lie
+  1e4 apart in radius, so the representation and radiated-power identities
+  read each mode's kernel far into the other mode's table pieces;
 * ``verify`` on a coupled material of high contrast (c44 = 1, R3 = 9900,
   K2 = 1e8, rho = 1: coupling 0.99, a1/a2 = 5e9) at the same frequencies,
-  which shows ``pde-residual`` where the moduli lie far apart;
+  where both identities hold 1 / (4 a1) and 1 / (4 a2) 5e9 apart and the
+  S1 wave's terms cancel down to sqrt(a2 / a1) of their size;
 * ``decompose`` on the demo material at 1, 6.283e6 and 1e9 rad/s, whose
   stdout is kept as ``decompose.txt``;
 * each tree's own ``demos/verification_tour.py`` (beside its ``src/``), whose
@@ -33,7 +35,7 @@ least 1e-3 of their column's largest magnitude (round-off near a cancelling
 zero spans many ulps and says nothing), and the largest difference divided
 by the largest magnitude of its column in the first tree. Below a JSON
 output that differs it prints each differing key path with its relative
-change, largest first, e.g. ``checks[0].max_kernel_residual rel 1.7e-07``
+change, largest first, e.g. ``checks[0].radiation_residual rel 1.7e-01``
 (``inf`` for a value that is not a number on both sides, or is missing on
 one).
 The exit code is 0 when every output is byte-identical and 1 otherwise.
